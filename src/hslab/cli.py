@@ -164,7 +164,7 @@ def _check_shift(group: Group, shift: int | None) -> int | None:
 def _cmd_spectrum(args) -> int:
     group = _load_group(args)
     shift = _check_shift(group, args.shift)
-    rows = spectrum_rows(group, args.k, shift, threads=args.threads)
+    rows = spectrum_rows(group, args.k, shift)
     config = {
         "command": "spectrum",
         "group": group.descriptor,
@@ -180,7 +180,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_rank(args) -> int:
     group = _load_group(args)
     shift = _check_shift(group, args.shift)
-    rank = state_rank(group, args.k, shift, threads=args.threads)
+    rank = state_rank(group, args.k, shift)
     if shift is None:
         closed = rank_closed_form(group, args.k) if args.k <= 2 else None
     else:
@@ -526,7 +526,6 @@ def _add_common(p: argparse.ArgumentParser, *, group=True, k=False) -> None:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache-dir", help="irrep matrix cache directory")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,8 +601,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "k", 1) < 1:
             raise DomainError("k must be at least 1")
-        if getattr(args, "threads", 1) < 1:
-            raise DomainError("threads must be at least 1")
         return args.handler(args)
     except DomainError as exc:
         return _fail(exc, 2)

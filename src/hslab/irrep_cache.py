@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -40,24 +41,31 @@ def cache_path(cache_dir: str | os.PathLike, group: Group) -> str:
 
 
 def write_cache(path: str, group: Group, records: list[tuple[str, np.ndarray]]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write the file through a temp file of this writer's own, then rename
+    it into place, so concurrent writers never share a partial file."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     desc = group.descriptor.encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(desc)))
-        fh.write(desc)
-        fh.write(struct.pack("<II", group.order, len(records)))
-        for name, stack in records:
-            raw = name.encode("utf-8")
-            dim = stack.shape[1]
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", dim))
-            data = np.ascontiguousarray(stack, dtype=np.complex128)
-            fh.write(data.astype("<c16").tobytes())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(desc)))
+            fh.write(desc)
+            fh.write(struct.pack("<II", group.order, len(records)))
+            for name, stack in records:
+                raw = name.encode("utf-8")
+                dim = stack.shape[1]
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", dim))
+                data = np.ascontiguousarray(stack, dtype=np.complex128)
+                fh.write(data.astype("<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_cache(path: str, group: Group) -> list[tuple[str, np.ndarray]] | None:

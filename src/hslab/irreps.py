@@ -232,45 +232,66 @@ def irreps(group: Group, cache_dir: str | os.PathLike | None = None) -> tuple[Ir
 
     Results are memoized per descriptor. If cache_dir is given, symmetric
     group matrix stacks are loaded from / saved to a binary cache file there
-    (corrupt or mismatched files are silently rebuilt).
+    (corrupt or mismatched files are silently rebuilt). A memoized result is
+    saved to a cache_dir that lacks the file, and a cache_dir that cannot be
+    written is skipped.
     """
-    memo = _MEMO.get(group.descriptor)
-    if memo is not None:
-        return memo
-
-    if group.kind == "abelian":
-        labels = [()]
-        for m in group.moduli:
-            labels = [lab + (w,) for lab in labels for w in range(m)]
-        reps = tuple(Irrep(group, lab, 1) for lab in labels)
-    else:
-        reps = tuple(
-            Irrep(group, shape, len(standard_tableaux(shape)))
-            for shape in partitions(group.degree)
-        )
-        if cache_dir is not None and group.order <= _EAGER_STACK_ORDER:
-            from . import irrep_cache
-
-            path = irrep_cache.cache_path(cache_dir, group)
-            records = irrep_cache.read_cache(path, group)
-            if records is not None and [(r.name, r.dim) for r in reps] == [
-                (name, stack.shape[1]) for name, stack in records
-            ]:
-                for rep, (_, stack) in zip(reps, records):
-                    rep._stack = stack
-                    rep._stack.setflags(write=False)
-            else:
-                for rep in reps:
-                    rep.stack()
-                irrep_cache.write_cache(path, group, [(r.name, r.stack()) for r in reps])
-
-    total = sum(r.dim * r.dim for r in reps)
-    if total != group.order:
-        raise ConsistencyError(
-            f"irrep dimensions of {group.descriptor} violate sum d^2 = |G|"
-        )
+    reps = _MEMO.get(group.descriptor)
+    fresh = reps is None
+    if fresh:
+        if group.kind == "abelian":
+            labels = [()]
+            for m in group.moduli:
+                labels = [lab + (w,) for lab in labels for w in range(m)]
+            reps = tuple(Irrep(group, lab, 1) for lab in labels)
+        else:
+            reps = tuple(
+                Irrep(group, shape, len(standard_tableaux(shape)))
+                for shape in partitions(group.degree)
+            )
+        total = sum(r.dim * r.dim for r in reps)
+        if total != group.order:
+            raise ConsistencyError(
+                f"irrep dimensions of {group.descriptor} violate sum d^2 = |G|"
+            )
+    if (
+        cache_dir is not None
+        and group.kind == "symmetric"
+        and group.order <= _EAGER_STACK_ORDER
+    ):
+        _sync_cache(group, reps, cache_dir, fresh)
     _MEMO[group.descriptor] = reps
     return reps
+
+
+def _sync_cache(
+    group: Group, reps: tuple[Irrep, ...], cache_dir: str | os.PathLike, fresh: bool
+) -> None:
+    """Load fresh irreps' stacks from the cache file, or save them there.
+
+    Memoized irreps are only saved, and only when the file is missing, so a
+    memo hit reads nothing. The cache only saves time, so a write that fails
+    is skipped.
+    """
+    from . import irrep_cache
+
+    path = irrep_cache.cache_path(cache_dir, group)
+    if fresh:
+        records = irrep_cache.read_cache(path, group)
+        if records is not None and [(r.name, r.dim) for r in reps] == [
+            (name, stack.shape[1]) for name, stack in records
+        ]:
+            for rep, (_, stack) in zip(reps, records):
+                rep._stack = stack
+                rep._stack.setflags(write=False)
+            return
+    elif os.path.exists(path):
+        return
+    records = [(r.name, r.stack()) for r in reps]
+    try:
+        irrep_cache.write_cache(path, group, records)
+    except OSError:
+        pass
 
 
 def trivial_irrep(group: Group) -> Irrep:
@@ -312,11 +333,6 @@ class FourierTransform:
     matrix: np.ndarray
     rows: tuple[tuple[tuple, int, int], ...]
     offsets: dict[tuple, int]
-
-    def block_slice(self, label: tuple) -> slice:
-        off = self.offsets[label]
-        d = next(r.dim for r in irreps(self.group) if r.label == label)
-        return slice(off, off + d * d)
 
 
 def fourier(group: Group, validate: bool = True) -> FourierTransform:

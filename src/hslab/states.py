@@ -19,10 +19,10 @@ x-tuple major over the j-tuple inside each block.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -35,13 +35,6 @@ BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
 AVERAGE_STACK_LIMIT = 2 ** 26
 RANK_RTOL = 1e-8
-
-
-def _pmap(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +52,6 @@ class Block:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def name(self, group: Group) -> str:
-        return "|".join(_label_name(group, lab) for lab in self.labels)
-
-
-def _label_name(group: Group, label: tuple) -> str:
-    if group.kind == "symmetric":
-        return "+".join(str(p) for p in label)
-    return ".".join(str(w) for w in label)
 
 
 @dataclass
@@ -183,12 +167,8 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
     blocks: dict[tuple, Block] = {}
     for reps in product(irreps(group), repeat=copies):
         labels = tuple(r.label for r in reps)
-        D = 1
-        mult = 1
-        for r in reps:
-            D *= r.dim
-            mult *= r.dim
-        blocks[labels] = Block(labels, np.eye((2 ** copies) * D), mult)
+        D = prod(r.dim for r in reps)
+        blocks[labels] = Block(labels, np.eye((2 ** copies) * D), D)
     return ShiftState(group, copies, "no-shift", "block", blocks=blocks)
 
 
@@ -222,9 +202,7 @@ def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int 
             else:
                 mats.append(r.matrix(group.inverse(shift)))
         return reduce(np.kron, mats)
-    out_dim = 1
-    for r in reps:
-        out_dim *= r.dim
+    out_dim = prod(r.dim for r in reps)
     if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
         raise CapacityError(
             f"averaging a {out_dim}-dimensional product over {group.order} elements "
@@ -248,16 +226,13 @@ def state_block(reps: tuple[Irrep, ...], shift: int | None = None) -> Block:
 
     Rows and columns are indexed by (bit tuple, inner tensor index) with the
     bit tuple major; the (x, y) cell holds the power block with exponents
-    y - x componentwise.
+    y - x componentwise. The block's multiplicity equals its inner dimension
+    D = prod d_rho.
     """
     k = len(reps)
     if k < 1:
         raise DomainError("at least one irrep is required")
-    D = 1
-    mult = 1
-    for r in reps:
-        D *= r.dim
-        mult *= r.dim
+    D = prod(r.dim for r in reps)
     dim = (2 ** k) * D
     if dim > BLOCK_DIM_LIMIT:
         raise CapacityError(f"block dimension {dim} exceeds {BLOCK_DIM_LIMIT}")
@@ -272,7 +247,7 @@ def state_block(reps: tuple[Irrep, ...], shift: int | None = None) -> Block:
             z = tuple(b - a for a, b in zip(x, y))
             B[xi * D : (xi + 1) * D, yi * D : (yi + 1) * D] = parts[z]
     labels = tuple(r.label for r in reps)
-    return Block(labels, B, mult)
+    return Block(labels, B, D)
 
 
 def _guard_block_scan(group: Group, copies: int) -> None:
@@ -294,14 +269,21 @@ def _guard_block_scan(group: Group, copies: int) -> None:
         )
 
 
-def block_shift_state(
-    group: Group, copies: int, shift: int | None = None, threads: int = 1
-) -> ShiftState:
-    """Block form of the k-copy state; averaged over shifts when shift is None."""
+def _scan_blocks(group: Group, copies: int, shift: int | None):
+    """Yield (irrep tuple, state block) for every block in canonical tuple order.
+
+    The whole-scan guard runs before the first block is built, so a caller
+    that stops early refuses the same requests as one that scans them all.
+    Blocks are built one at a time and only the caller decides what to keep.
+    """
     _guard_block_scan(group, copies)
-    tuples = list(product(irreps(group), repeat=copies))
-    blocks_list = _pmap(lambda reps: state_block(reps, shift), tuples, threads)
-    blocks = {blk.labels: blk for blk in blocks_list}
+    for reps in product(irreps(group), repeat=copies):
+        yield reps, state_block(reps, shift)
+
+
+def block_shift_state(group: Group, copies: int, shift: int | None = None) -> ShiftState:
+    """Block form of the k-copy state; averaged over shifts when shift is None."""
+    blocks = {blk.labels: blk for _, blk in _scan_blocks(group, copies, shift)}
     variant = "averaged" if shift is None else "fixed"
     return ShiftState(group, copies, variant, "block", shift=shift, blocks=blocks)
 
@@ -394,23 +376,16 @@ def state_spectrum(state: ShiftState, cluster_tol: float = 1e-8) -> SpectrumRepo
     )
 
 
-def state_rank(group: Group, copies: int, shift: int | None = None, threads: int = 1) -> int:
+def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
     """Numeric rank of the k-copy state via its block spectra."""
-    _guard_block_scan(group, copies)
-    tuples = list(product(irreps(group), repeat=copies))
-    spectra = _pmap(
-        lambda reps: np.linalg.eigvalsh(state_block(reps, shift).matrix), tuples, threads
-    )
-    top = max(float(np.max(np.abs(w))) for w in spectra)
+    spectra = [
+        (blk.multiplicity, np.linalg.eigvalsh(blk.matrix))
+        for _, blk in _scan_blocks(group, copies, shift)
+    ]
+    top = max(float(np.max(np.abs(w))) for _, w in spectra)
     if top == 0.0:
         return 0
-    rank = 0
-    for reps, w in zip(tuples, spectra):
-        mult = 1
-        for r in reps:
-            mult *= r.dim
-        rank += mult * int(np.sum(w > RANK_RTOL * top))
-    return rank
+    return sum(mult * int(np.sum(w > RANK_RTOL * top)) for mult, w in spectra)
 
 
 def rank_closed_form(group: Group, copies: int) -> int:
@@ -439,7 +414,7 @@ class InteriorEigenvalueReport:
 
 
 def interior_eigenvalue_check(
-    group: Group, copies: int, threads: int = 1, margin: float = 1e-8
+    group: Group, copies: int, margin: float = 1e-8
 ) -> InteriorEigenvalueReport:
     """Search the averaged state for an eigenvalue strictly between 0 and
     the inverse dense dimension (equivalently a block eigenvalue in (0, 1)).
@@ -448,19 +423,15 @@ def interior_eigenvalue_check(
     two-outcome discrimination measurement. The first matching block in
     canonical tuple order supplies the witness.
     """
-    _guard_block_scan(group, copies)
-    tuples = list(product(irreps(group), repeat=copies))
-    spectra = _pmap(
-        lambda reps: np.linalg.eigvalsh(state_block(reps, None).matrix), tuples, threads
-    )
     scale = 1.0 / (2 * group.order) ** copies
-    for reps, w in zip(tuples, spectra):
+    for _, blk in _scan_blocks(group, copies, None):
+        w = np.linalg.eigvalsh(blk.matrix)
         inside = w[(w > margin) & (w < 1.0 - margin)]
         if len(inside):
             return InteriorEigenvalueReport(
                 found=True,
                 witness=float(inside.min()) * scale,
-                labels=tuple(r.label for r in reps),
+                labels=blk.labels,
                 block_eigenvalue=float(inside.min()),
             )
     return InteriorEigenvalueReport(found=False)
@@ -575,27 +546,22 @@ def subgroup_restriction_check(
 # tabular reports
 
 
-def spectrum_rows(
-    group: Group, copies: int, shift: int | None = None, threads: int = 1
-) -> list[dict]:
+def spectrum_rows(group: Group, copies: int, shift: int | None = None) -> list[dict]:
     """Clustered block spectra as rows keyed (group, k, tuple_label, ...).
 
     Eigenvalues are on the block scale; multiply by (2|G|)^-k for state
     eigenvalues. Multiplicity counts the cluster size times the block
     multiplicity.
     """
-    _guard_block_scan(group, copies)
-    tuples = list(product(irreps(group), repeat=copies))
-    blocks = _pmap(lambda reps: state_block(reps, shift), tuples, threads)
     rows = []
-    for blk in blocks:
-        rep = spectrum(blk.matrix)
-        for value, mult in rep.clusters:
+    for reps, blk in _scan_blocks(group, copies, shift):
+        tuple_label = "|".join(r.name for r in reps)
+        for value, mult in spectrum(blk.matrix).clusters:
             rows.append(
                 {
                     "group": group.descriptor,
                     "k": copies,
-                    "tuple_label": blk.name(group),
+                    "tuple_label": tuple_label,
                     "eigenvalue": value,
                     "multiplicity": mult * blk.multiplicity,
                 }

@@ -179,6 +179,12 @@ def test_exit_code_domain_error(cache_dir):
     )
     assert proc.returncode == 2
 
+    proc = run_cli(
+        "rank", "--group", "S3", "--k", "2", "--threads", "2",
+        cache_dir=cache_dir, check=False,
+    )
+    assert proc.returncode == 2
+
 
 def test_exit_code_capacity_error(cache_dir):
     proc = run_cli(
@@ -255,6 +261,16 @@ def test_cache_file_is_created(tmp_path):
     )
     assert proc.returncode == 0
     assert (env_dir / "S3.irr").is_file()
+
+
+def test_unwritable_cache_dir_is_skipped(cache_dir, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["weak-sample", "--group", "S3"]
+    good = run_cli(*argv, "--cache-dir", str(cache_dir), cache_dir=cache_dir)
+    proc = run_cli(*argv, "--cache-dir", str(blocker / "sub"), cache_dir=cache_dir)
+    assert proc.stdout == good.stdout
+    assert proc.stderr == ""
 
 
 def test_verify_all_battery(cache_dir):

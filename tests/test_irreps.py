@@ -277,6 +277,31 @@ def test_cache_rejects_corruption(tmp_path):
     assert irrep_cache.read_cache(str(tmp_path / "none.irr"), G) is None
 
 
+def test_cache_write_uses_its_own_temp_file(tmp_path):
+    G = symmetric_group(3)
+    records = [(r.name, r.stack()) for r in irreps(G)]
+    path = irrep_cache.cache_path(tmp_path, G)
+    # a leftover temp path of another writer must not block this one
+    (tmp_path / "S3.irr.tmp").mkdir()
+    irrep_cache.write_cache(path, G, records)
+    assert irrep_cache.read_cache(path, G) is not None
+    # a failed write leaves no temp file behind
+    with pytest.raises(AttributeError):
+        irrep_cache.write_cache(path, G, [(None, records[0][1])])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["S3.irr", "S3.irr.tmp"]
+
+
+def test_memoized_irreps_fill_a_new_cache_dir(tmp_path):
+    G = symmetric_group(4)
+    reps = irreps(G)
+    assert irreps(G, cache_dir=tmp_path) is reps
+    loaded = irrep_cache.read_cache(irrep_cache.cache_path(tmp_path, G), G)
+    assert loaded is not None
+    for rep, (name, stack) in zip(reps, loaded):
+        assert name == rep.name
+        assert np.array_equal(stack, rep.stack())
+
+
 def test_large_group_stack_guard():
     G = symmetric_group(8)
     reps = irreps(G)

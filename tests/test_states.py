@@ -1,5 +1,7 @@
 """State constructions: dense vs block forms, spectra, ranks, factorizations."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -257,12 +259,40 @@ def test_fixed_shift_rank_is_group_order_power():
             assert state_rank(G, k, shift=1) == G.order ** k
 
 
-def test_threads_do_not_change_results():
-    G = symmetric_group(4)
-    assert state_rank(G, 2, threads=3) == state_rank(G, 2, threads=1)
-    rows1 = spectrum_rows(G, 2, threads=1)
-    rows3 = spectrum_rows(G, 2, threads=3)
-    assert rows1 == rows3
+SCAN_GROUPS = [symmetric_group(3), symmetric_group(4), abelian_group(4), abelian_group(2, 2)]
+
+
+@pytest.mark.parametrize("shift", [None, 1], ids=["averaged", "shift1"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.descriptor)
+def test_block_scan_consumers_agree(G, k, shift):
+    state = block_shift_state(G, k, shift)
+    assert state_rank(G, k, shift) == state_spectrum(state).rank
+
+    names = {
+        tuple(r.label for r in reps): "|".join(r.name for r in reps)
+        for reps in product(irreps(G), repeat=k)
+    }
+    rows = spectrum_rows(G, k, shift)
+    assert sum(r["multiplicity"] for r in rows) == (2 * G.order) ** k
+    expected = [
+        (names[labels], value, mult * blk.multiplicity)
+        for labels, blk in state.blocks.items()
+        for value, mult in spectrum(blk.matrix).clusters
+    ]
+    assert [(r["tuple_label"], r["eigenvalue"], r["multiplicity"]) for r in rows] == expected
+
+    if shift is None:
+        margin = 1e-8
+        first = None
+        for labels, blk in state.blocks.items():
+            w = np.linalg.eigvalsh(blk.matrix)
+            if np.any((w > margin) & (w < 1.0 - margin)):
+                first = labels
+                break
+        report = interior_eigenvalue_check(G, k, margin=margin)
+        assert report.found == (first is not None)
+        assert report.labels == first
 
 
 def test_spectrum_report_fields():
@@ -330,6 +360,10 @@ def test_capacity_guards():
         block_shift_state(symmetric_group(6), 2)
     with pytest.raises(CapacityError):
         state_rank(symmetric_group(6), 3)
+    with pytest.raises(CapacityError):
+        spectrum_rows(symmetric_group(6), 2)
+    with pytest.raises(CapacityError):
+        interior_eigenvalue_check(symmetric_group(6), 2)
     big = [r for r in irreps(symmetric_group(6)) if r.dim == 16]
     with pytest.raises(CapacityError):
         power_block((big[0], big[0], big[0]), (1, 1, 1), None)
