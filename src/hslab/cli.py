@@ -528,8 +528,15 @@ def _add_common(p: argparse.ArgumentParser, *, group=True, k=False) -> None:
     p.add_argument("--cache-dir", help="irrep matrix cache directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a DomainError (exit 2, JSON on stderr)."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hslab",
         description="numerical laboratory for hidden-shift states and measurements",
     )
@@ -596,9 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "k", 1) < 1:
             raise DomainError("k must be at least 1")
         return args.handler(args)

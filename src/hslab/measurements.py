@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .groups import Group
 from .irreps import Irrep, irreps, plancherel
-from .states import ShiftState
+from .states import ShiftState, _is_psd
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def _check_density(M: np.ndarray, who: str) -> np.ndarray:
         raise DomainError(f"{who} must be Hermitian")
     if abs(np.trace(M).real - 1.0) > 1e-8:
         raise DomainError(f"{who} must have unit trace")
-    if np.linalg.eigvalsh(M).min() < -1e-8:
+    if not _is_psd(M, 1e-8):
         raise DomainError(f"{who} must be positive semidefinite")
     return M
 
@@ -64,7 +64,8 @@ def helstrom(rho_first: np.ndarray, rho_second: np.ndarray) -> HelstromResult:
     Vp = V[:, keep]
     e1 = Vp @ Vp.conj().T
     e2 = np.eye(r1.shape[0]) - e1
-    success = 0.5 * (np.trace(e1 @ r1) + np.trace(e2 @ r2)).real
+    # tr(e @ r) without the product: the row sums of e * r.T are its diagonal
+    success = 0.5 * ((e1 * r1.T).sum(axis=1).sum() + (e2 * r2.T).sum(axis=1).sum()).real
     return HelstromResult(e1, e2, float(success), float(np.abs(w).sum()))
 
 

@@ -87,7 +87,7 @@ class ShiftState:
                 raise ConsistencyError("dense state is not Hermitian")
             if abs(np.trace(M).real - 1.0) > 1e-10:
                 raise ConsistencyError("dense state trace differs from one")
-            if np.linalg.eigvalsh(M).min() < -1e-10:
+            if not _is_psd(M, 1e-10):
                 raise ConsistencyError("dense state has a negative eigenvalue")
             return
         total = 0.0
@@ -95,11 +95,20 @@ class ShiftState:
             B = blk.matrix
             if np.max(np.abs(B - B.conj().T)) > 1e-12:
                 raise ConsistencyError(f"block {blk.labels} is not Hermitian")
-            if np.linalg.eigvalsh(B).min() < -1e-10:
+            if not _is_psd(B, 1e-10):
                 raise ConsistencyError(f"block {blk.labels} has a negative eigenvalue")
             total += blk.multiplicity * np.trace(B).real
         if abs(total * self.scale() - 1.0) > 1e-10:
             raise ConsistencyError("block traces do not sum to one")
+
+
+def _is_psd(M: np.ndarray, tol: float) -> bool:
+    """No eigenvalue of the Hermitian M is below -tol: M + tol*I has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(M + tol * np.eye(M.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -66,40 +65,31 @@ class SubsetSumTable:
         return int(np.count_nonzero(self.counts))
 
 
-def _add_index_arrays(group: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized group addition on element-index arrays."""
-    digits = group._digits_matrix()
-    moduli = np.array(group.moduli, dtype=np.int64)
-    summed = (digits[a] + digits[b]) % moduli
-    return group._indices_of_digit_rows(summed)
-
-
 def subset_sum_table(group: Group, copies: int) -> SubsetSumTable:
+    """Count copy by copy: T_k[x', x, w] = T_(k-1)[x', w] + T_(k-1)[x', w - x].
+
+    The new copy x is left out (b = 0) or added (b = 1); T_0 = [1, 0, ..., 0].
+    """
     _require_abelian(group)
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     N = group.order
+    # Prices the former 2^k-pattern enumeration, not the recurrence; kept so
+    # the same requests are refused and moments(method="auto") is unchanged.
     work = (N ** copies) * (2 ** copies)
     if work > TABLE_OP_LIMIT:
         raise CapacityError(
             f"subset-sum table needs {work} counting steps, beyond {TABLE_OP_LIMIT}"
         )
-    M = N ** copies
-    coords = np.stack(
-        np.unravel_index(np.arange(M), (N,) * copies), axis=1
-    ).astype(np.int64)
-    counts = np.zeros((M, N), dtype=np.int32)
-    rows = np.arange(M)
-    for bits in product((0, 1), repeat=copies):
-        sums = np.zeros(M, dtype=np.int64)
-        for i, bit in enumerate(bits):
-            if bit:
-                sums = _add_index_arrays(group, sums, coords[:, i])
-        np.add.at(counts, (rows, sums), 1)
-    table = SubsetSumTable(group, copies, counts)
+    digits = group._digits_matrix()
+    moduli = np.array(group.moduli, dtype=np.int64)
+    minus = group._indices_of_digit_rows((digits[None] - digits[:, None]) % moduli)  # w - x
+    counts = np.eye(1, N, dtype=np.int32)
+    for _ in range(copies):
+        counts = (counts[:, None, :] + counts[:, minus]).reshape(-1, N)
     if not np.all(counts.sum(axis=1) == 2 ** copies):
         raise ConsistencyError("subset-sum rows must each hold 2^k solutions")
-    return table
+    return SubsetSumTable(group, copies, counts)
 
 
 def subset_sum_rank(group: Group, copies: int) -> int:

@@ -43,6 +43,10 @@ def read_csv(text):
 def test_version_flag(cache_dir):
     proc = run_cli("--version", cache_dir=cache_dir)
     assert proc.stdout.strip() == "hslab 0.1.0"
+    # help still prints usage on stdout and exits 0
+    proc = run_cli("rank", "--help", cache_dir=cache_dir)
+    assert proc.stdout.startswith("usage: hslab rank")
+    assert proc.stderr == ""
 
 
 def test_spectrum_golden_rows(cache_dir):
@@ -179,11 +183,19 @@ def test_exit_code_domain_error(cache_dir):
     )
     assert proc.returncode == 2
 
-    proc = run_cli(
-        "rank", "--group", "S3", "--k", "2", "--threads", "2",
-        cache_dir=cache_dir, check=False,
-    )
-    assert proc.returncode == 2
+    # malformed value, unknown option (the removed --threads), missing --group
+    for argv in (
+        ("rank", "--group", "S3", "--k", "x"),
+        ("rank", "--group", "S3", "--k", "2", "--threads", "2"),
+        ("rank", "--k", "2"),
+    ):
+        proc = run_cli(*argv, cache_dir=cache_dir, check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert set(err) == {"error"}
+        assert set(err["error"]) == {"type", "message"}
+        assert err["error"]["type"] == "DomainError"
 
 
 def test_exit_code_capacity_error(cache_dir):

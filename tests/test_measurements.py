@@ -86,6 +86,55 @@ def test_helstrom_rejects_bad_input():
         helstrom(np.eye(3) / 3, good)  # dimension mismatch
 
 
+def rotated_density(dim, lowest, seed):
+    """Seeded random density whose smallest eigenvalue is `lowest`."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Q, _ = np.linalg.qr(Z)
+    w = rng.uniform(0.5, 1.5, dim)
+    w[0] = 0.0
+    w *= (1.0 - lowest) / w.sum()
+    w[0] = lowest
+    M = (Q * w) @ Q.conj().T
+    return (M + M.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", [4, 216])
+def test_helstrom_positivity_threshold(dim):
+    mixed = np.eye(dim) / dim
+    for seed in range(2):
+        bad = rotated_density(dim, -2e-8, seed)
+        assert np.linalg.eigvalsh(bad).min() < -1e-8
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            helstrom(bad, mixed)
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            helstrom(mixed, bad)
+        good = rotated_density(dim, -5e-9, seed)
+        assert np.linalg.eigvalsh(good).min() > -1e-8
+        helstrom(good, mixed)
+        helstrom(mixed, good)
+
+
+def _helstrom_cases():
+    S3, Z4 = symmetric_group(3), abelian_group(4)
+    yield averaged_shift_state_dense(S3, 2).dense, maximally_mixed_state(S3, 2, form="dense").dense
+    yield averaged_shift_state_dense(Z4, 3).dense, maximally_mixed_state(Z4, 3, form="dense").dense
+    for s in range(S3.order):
+        for t in range(s + 1, S3.order):
+            yield shift_state_dense(S3, s, 2).dense, shift_state_dense(S3, t, 2).dense
+
+
+def test_helstrom_matches_matrix_product_traces():
+    for r1, r2 in _helstrom_cases():
+        res = helstrom(r1, r2)
+        e1, e2 = res.projector_first, res.projector_second
+        success = 0.5 * (np.trace(e1 @ r1) + np.trace(e2 @ r2)).real
+        assert abs(res.success - success) <= 1e-12
+        assert abs(res.trace_norm - np.abs(np.linalg.eigvalsh(r1 - r2)).sum()) <= 1e-12
+        assert np.allclose(e1 + e2, np.eye(len(r1)), atol=1e-12)
+        assert np.allclose(e1 @ e1, e1, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # POVMs
 

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hslab.errors import CapacityError, DomainError
+from hslab.errors import CapacityError, ConsistencyError, DomainError
 from hslab.groups import (
     abelian_group,
     abelian_subgroup_of_abelian,
@@ -14,6 +14,7 @@ from hslab.groups import (
 )
 from hslab.irreps import irreps
 from hslab.states import (
+    ShiftState,
     averaged_shift_state_dense,
     block_basis_permutation,
     block_shift_state,
@@ -326,6 +327,32 @@ def test_maximally_mixed_state_forms():
     block.validate()
     assembled = dense_from_blocks(block)
     assert np.allclose(assembled, np.eye(64) / 64, atol=1e-14)
+
+
+def _tilted(M, delta):
+    """M with delta moved from a null direction to its top one: trace kept, lowest = -delta."""
+    w, V = np.linalg.eigh(M)
+    assert abs(w[0]) < 1e-12
+    low, top = V[:, :1], V[:, -1:]
+    return M + delta * (top @ top.conj().T - low @ low.conj().T)
+
+
+def test_validate_rejects_a_negative_eigenvalue():
+    # eigenvalues down to -1e-10 pass, lower ones fail, in both forms
+    G = symmetric_group(3)
+    dense = shift_state_dense(G, 1, 1).dense
+    ShiftState(G, 1, "fixed", "dense", 1, dense=_tilted(dense, 5e-11)).validate()
+    with pytest.raises(ConsistencyError, match="dense state has a negative eigenvalue"):
+        ShiftState(G, 1, "fixed", "dense", 1, dense=_tilted(dense, 1e-9)).validate()
+
+    state = block_shift_state(G, 1, 1)
+    blk = next(iter(state.blocks.values()))
+    original = blk.matrix
+    blk.matrix = _tilted(original, 5e-11)
+    state.validate()
+    blk.matrix = _tilted(original, 1e-9)
+    with pytest.raises(ConsistencyError, match=r"block .* has a negative eigenvalue"):
+        state.validate()
 
 
 def test_interior_eigenvalue_witnesses():

@@ -10,6 +10,7 @@ from hslab.errors import CapacityError, DomainError
 from hslab.groups import abelian_group, symmetric_group
 from hslab.states import state_rank
 from hslab.subset_sums import (
+    TABLE_OP_LIMIT,
     moments,
     subset_sum_rank,
     subset_sum_table,
@@ -51,6 +52,36 @@ def test_table_matches_brute_force(G, k):
     assert np.all(table.counts.sum(axis=1) == 2 ** k)
 
 
+def enumerated_counts(G, k):
+    """The table by enumerating all 2^k bit patterns b, one np.add.at each."""
+    add = G.compose_table()
+    M = G.order ** k
+    coords = np.stack(np.unravel_index(np.arange(M), (G.order,) * k), axis=1)
+    counts = np.zeros((M, G.order), dtype=np.int32)
+    for bits in product((0, 1), repeat=k):
+        sums = np.zeros(M, dtype=np.int64)
+        for i in np.flatnonzero(bits):
+            sums = add[sums, coords[:, i]]
+        np.add.at(counts, (np.arange(M), sums), 1)
+    return counts
+
+
+DIFFERENTIAL_GROUPS = [abelian_group(n) for n in range(2, 9)] + [
+    abelian_group(2, 2),
+    abelian_group(2, 4),
+    abelian_group(3, 3),
+]
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=lambda G: G.descriptor)
+def test_recurrence_matches_enumeration(G):
+    for k in (1, 2, 3, 4):
+        counts = subset_sum_table(G, k).counts
+        reference = enumerated_counts(G, k)
+        assert counts.dtype == reference.dtype
+        assert np.array_equal(counts, reference)
+
+
 def test_rank_known_series():
     # order-N single copy: 2N-1 nonzero cells
     for N in (2, 3, 4, 5, 8):
@@ -66,7 +97,7 @@ def test_rank_matches_state_rank():
 
 
 def test_moment_formulas_and_methods_agree():
-    for G in (abelian_group(6), abelian_group(2, 4), abelian_group(3, 3)):
+    for G in DIFFERENTIAL_GROUPS:
         for k in (1, 2, 3, 4):
             t = moments(G, k, method="table")
             c = moments(G, k, method="convolution")
@@ -148,6 +179,14 @@ def test_domain_and_capacity_errors():
         subset_sum_table(abelian_group(16), 10)
     with pytest.raises(DomainError):
         moments(abelian_group(4), 0)
+    # the guard prices (2|G|)^k counting steps: refused just above the limit,
+    # admitted exactly at it (a 7.8 MB table)
+    for N, k in ((233, 3), (20, 5)):  # 1.2% and 2.4% above
+        assert (2 * N) ** k > TABLE_OP_LIMIT
+        with pytest.raises(CapacityError):
+            subset_sum_table(abelian_group(N), k)
+    assert (2 * 5) ** 8 == TABLE_OP_LIMIT
+    assert subset_sum_table(abelian_group(5), 8).counts.shape == (5 ** 8, 5)
 
 
 def test_trivial_group():
