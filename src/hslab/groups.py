@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import factorial, prod
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import CapacityError, ConsistencyError, DomainError
 MAX_SYMMETRIC_N = 8
 MAX_ABELIAN_ORDER = 4096
 
-# compose tables are materialized lazily and only below this order
+# compose tables are built only below this order
 _TABLE_LIMIT = 2048
 
 
@@ -101,6 +102,8 @@ def adjacent_transposition_word(images: tuple[int, ...]) -> list[int]:
 class Group:
     """A finite group whose elements are the indices 0..order-1.
 
+    Every element is stored once, as one row of the read-only `rows` array,
+    and all arithmetic runs on those rows, for one element or for many.
     Construct through symmetric_group / abelian_group / parse_group rather
     than directly.
     """
@@ -119,6 +122,7 @@ class Group:
             self.moduli: tuple[int, ...] | None = None
             self.order = factorial(n)
             self.descriptor = f"S{n}"
+            self._place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         elif kind == "abelian":
             moduli = tuple(int(m) for m in degree_or_moduli)
             if not moduli or any(m < 1 for m in moduli):
@@ -132,12 +136,12 @@ class Group:
             self.moduli = moduli
             self.order = prod(moduli)
             self.descriptor = "x".join(f"Z{m}" for m in moduli)
+            self._moduli = np.array(moduli, dtype=np.int64)
+            self._place = np.cumprod((1,) + moduli[:0:-1])[::-1]
         else:
             raise DomainError(f"unknown group kind {kind!r}")
-        self._perms: list[tuple[int, ...]] | None = None
-        self._perm_index: dict[tuple[int, ...], int] | None = None
-        self._digit_matrix: np.ndarray | None = None
-        self._table: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
         self._inverse_vec: np.ndarray | None = None
 
     # -- identity / iteration ------------------------------------------------
@@ -157,6 +161,32 @@ class Group:
         if not 0 <= a < self.order:
             raise DomainError(f"element index {a} out of range for {self.descriptor}")
 
+    @property
+    def rows(self) -> np.ndarray:
+        """Read-only (order, width) int64 array; row a describes element a.
+
+        S_n: the one-line images, in lexicographic order, which is Lehmer
+        rank order. Abelian: the digits, leftmost most significant.
+        """
+        if self._rows is None:
+            if self.kind == "symmetric":
+                rows = np.array(list(permutations(range(self.degree))), dtype=np.int64)
+            else:
+                rows = np.arange(self.order)[:, None] // self._place % self._moduli
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
+
+    def _index(self, rows: np.ndarray) -> np.ndarray:
+        """Element indices of rows (any leading shape)."""
+        codes = rows @ self._place
+        if self.kind == "abelian":
+            return codes
+        if self._codes is None:
+            # base-n codes of the rows; lexicographic order keeps them ascending
+            self._codes = self.rows @ self._place
+        return np.searchsorted(self._codes, codes)
+
     # -- element views -------------------------------------------------------
 
     def perm(self, a: int) -> tuple[int, ...]:
@@ -164,7 +194,7 @@ class Group:
         if self.kind != "symmetric":
             raise DomainError("perm() only applies to symmetric groups")
         self.check_index(a)
-        return self._perm_list()[a]
+        return tuple(self.rows[a].tolist())
 
     def index_of_perm(self, images: tuple[int, ...]) -> int:
         if self.kind != "symmetric":
@@ -172,30 +202,24 @@ class Group:
         if len(images) != self.degree:
             raise DomainError(f"expected a permutation of {self.degree} points")
         check_perm(images)
-        return self._perm_dict()[tuple(images)]
+        return int(self._index(np.array(images, dtype=np.int64)))
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Digit tuple of an abelian element (mixed radix, leftmost major)."""
         if self.kind != "abelian":
             raise DomainError("digits() only applies to abelian groups")
         self.check_index(a)
-        out = []
-        for m in reversed(self.moduli):
-            a, d = divmod(a, m)
-            out.append(d)
-        return tuple(reversed(out))
+        return tuple(self.rows[a].tolist())
 
     def index_of_digits(self, digits: tuple[int, ...]) -> int:
         if self.kind != "abelian":
             raise DomainError("index_of_digits() only applies to abelian groups")
         if len(digits) != len(self.moduli):
             raise DomainError(f"expected {len(self.moduli)} digits")
-        a = 0
         for d, m in zip(digits, self.moduli):
             if not 0 <= d < m:
                 raise DomainError(f"digit {d} out of range mod {m}")
-            a = a * m + d
-        return a
+        return int(self._index(np.array(digits, dtype=np.int64)))
 
     def element_name(self, a: int) -> str:
         if self.kind == "symmetric":
@@ -204,97 +228,52 @@ class Group:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def compose(self, a: int, b: int) -> int:
-        """Index of the product a*b under (a*b)(i) = a(b(i))."""
-        if self._table is not None:
+    def compose(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
+        """Index of the product a*b under (a*b)(i) = a(b(i)).
+
+        Takes two element indices (checked; returns an int) or index arrays
+        that broadcast together (returns an array of that shape).
+        """
+        scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+        if scalar:
             self.check_index(a)
             self.check_index(b)
-            return int(self._table[a, b])
+        rows = self.rows
+        ra, rb = rows[a], rows[b]
         if self.kind == "symmetric":
-            return self._perm_dict()[compose_perms(self.perm(a), self.perm(b))]
-        da, db = self.digits(a), self.digits(b)
-        return self.index_of_digits(
-            tuple((x + y) % m for x, y, m in zip(da, db, self.moduli))
-        )
+            product = np.take_along_axis(*np.broadcast_arrays(ra, rb), axis=-1)
+        else:
+            product = (ra + rb) % self._moduli
+        out = self._index(product)
+        return int(out) if scalar else out
 
     def inverse(self, a: int) -> int:
-        if self.kind == "symmetric":
-            return self._perm_dict()[invert_perm(self.perm(a))]
-        return self.index_of_digits(
-            tuple((-d) % m for d, m in zip(self.digits(a), self.moduli))
-        )
+        self.check_index(a)
+        return int(self.inverse_vector()[a])
 
     def translate(self, s: int) -> np.ndarray:
         """Vector t with t[g] = index of g*s, for all g at once."""
         self.check_index(s)
-        if self._table is not None:
-            return self._table[:, s].copy()
-        if self.kind == "symmetric":
-            ps = self.perm(s)
-            idx = self._perm_dict()
-            return np.array(
-                [idx[compose_perms(p, ps)] for p in self._perm_list()], dtype=np.int64
-            )
-        dm = self._digits_matrix()
-        moduli = np.array(self.moduli, dtype=np.int64)
-        summed = (dm + np.array(self.digits(s), dtype=np.int64)) % moduli
-        return self._indices_of_digit_rows(summed)
+        return self.compose(np.arange(self.order), s)
 
     def inverse_vector(self) -> np.ndarray:
         """Vector v with v[g] = index of g^-1."""
         if self._inverse_vec is None:
-            self._inverse_vec = np.array(
-                [self.inverse(a) for a in self.elements()], dtype=np.int64
-            )
+            if self.kind == "symmetric":
+                inverse_rows = np.argsort(self.rows, axis=1)
+            else:
+                inverse_rows = -self.rows % self._moduli
+            self._inverse_vec = self._index(inverse_rows)
         return self._inverse_vec
 
     def compose_table(self) -> np.ndarray:
         """Dense multiplication table; guarded to order <= 2048."""
-        if self._table is None:
-            if self.order > _TABLE_LIMIT:
-                raise CapacityError(
-                    f"compose table for |G|={self.order} exceeds the {_TABLE_LIMIT} limit"
-                )
-            if self.kind == "symmetric":
-                idx = self._perm_dict()
-                perms = self._perm_list()
-                table = np.empty((self.order, self.order), dtype=np.int32)
-                for a, pa in enumerate(perms):
-                    row = [idx[compose_perms(pa, pb)] for pb in perms]
-                    table[a] = row
-            else:
-                dm = self._digits_matrix()
-                moduli = np.array(self.moduli, dtype=np.int64)
-                summed = (dm[:, None, :] + dm[None, :, :]) % moduli
-                flat = self._indices_of_digit_rows(summed.reshape(-1, len(self.moduli)))
-                table = flat.reshape(self.order, self.order).astype(np.int32)
-            self._table = table
-        return self._table
-
-    # -- internals -----------------------------------------------------------
-
-    def _perm_list(self) -> list[tuple[int, ...]]:
-        if self._perms is None:
-            self._perms = [perm_unrank(r, self.degree) for r in range(self.order)]
-        return self._perms
-
-    def _perm_dict(self) -> dict[tuple[int, ...], int]:
-        if self._perm_index is None:
-            self._perm_index = {p: i for i, p in enumerate(self._perm_list())}
-        return self._perm_index
-
-    def _digits_matrix(self) -> np.ndarray:
-        if self._digit_matrix is None:
-            self._digit_matrix = np.array(
-                [self.digits(a) for a in self.elements()], dtype=np.int64
+        if self.order > _TABLE_LIMIT:
+            raise CapacityError(
+                f"compose table for |G|={self.order} exceeds the {_TABLE_LIMIT} limit"
             )
-        return self._digit_matrix
-
-    def _indices_of_digit_rows(self, rows: np.ndarray) -> np.ndarray:
-        place = np.ones(len(self.moduli), dtype=np.int64)
-        for i in range(len(self.moduli) - 2, -1, -1):
-            place[i] = place[i + 1] * self.moduli[i + 1]
-        return rows @ place
+        g = np.arange(self.order)
+        return self.compose(g[:, None], g[None, :])
 
     # -- comparison ----------------------------------------------------------
 
@@ -352,51 +331,44 @@ class SubgroupEmbedding:
     subgroup: Group
     injection: tuple[int, ...]
     transversal: tuple[int, ...] = field(default=())
-    _factor: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
+    # _factor[g] = t_pos * |H| + h for g = transversal[t_pos] * injection[h]
+    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         G, H = self.parent, self.subgroup
         if len(self.injection) != H.order or len(set(self.injection)) != H.order:
             raise DomainError("injection must list one distinct parent index per subgroup element")
+        for g in (*self.injection, *self.transversal):
+            G.check_index(g)
         if G.order % H.order != 0:
             raise ConsistencyError("subgroup order does not divide parent order")
-        for a in H.elements():
-            for b in H.elements():
-                lhs = self.injection[H.compose(a, b)]
-                rhs = G.compose(self.injection[a], self.injection[b])
-                if lhs != rhs:
-                    raise ConsistencyError(
-                        f"injection is not a homomorphism at ({a},{b})"
-                    )
+        inj = np.array(self.injection, dtype=np.int64)
+        h = np.arange(H.order)
+        broken = np.argwhere(inj[H.compose(h[:, None], h)] != G.compose(inj[:, None], inj))
+        if broken.size:
+            a, b = broken[0]
+            raise ConsistencyError(f"injection is not a homomorphism at ({a},{b})")
         if not self.transversal:
-            self.transversal = self._greedy_transversal()
+            self.transversal = self._greedy_transversal(inj)
         if len(self.transversal) != G.order // H.order:
             raise DomainError("transversal size must be the subgroup index")
-        self._factor = {}
-        for t_pos, t in enumerate(self.transversal):
-            for h in H.elements():
-                g = G.compose(t, self.injection[h])
-                if g in self._factor:
-                    raise ConsistencyError("transversal does not give unique factorization")
-                self._factor[g] = (t_pos, h)
-        if len(self._factor) != G.order:
-            raise ConsistencyError("cosets do not cover the parent group")
+        products = G.compose(np.array(self.transversal)[:, None], inj).ravel()
+        if np.unique(products).size != G.order:
+            raise ConsistencyError("transversal does not give unique factorization")
+        self._factor = np.empty(G.order, dtype=np.int64)
+        self._factor[products] = np.arange(G.order)
 
-    def _greedy_transversal(self) -> tuple[int, ...]:
-        G, H = self.parent, self.subgroup
-        seen = [False] * G.order
-        reps = []
-        for g in G.elements():
-            if not seen[g]:
-                reps.append(g)
-                for h in H.elements():
-                    seen[G.compose(g, self.injection[h])] = True
-        return tuple(reps)
+    def _greedy_transversal(self, inj: np.ndarray) -> tuple[int, ...]:
+        """The smallest element of each left coset g * iota(H), ascending."""
+        G = self.parent
+        g = np.arange(G.order)
+        smallest = G.compose(g[:, None], inj).min(axis=1)
+        return tuple(np.flatnonzero(smallest == g).tolist())
 
     def factor(self, g: int) -> tuple[int, int]:
         """(transversal position, subgroup index) with g = t * iota(h)."""
         self.parent.check_index(g)
-        return self._factor[g]
+        return divmod(int(self._factor[g]), self.subgroup.order)
 
 
 def abelian_subgroup_of_symmetric(n: int, cycle_type: tuple[int, ...]) -> SubgroupEmbedding:

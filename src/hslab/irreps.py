@@ -187,28 +187,31 @@ class Irrep:
     def _build_stack(self) -> np.ndarray:
         G = self.group
         if G.kind == "abelian":
-            digit_rows = np.array([G.digits(a) for a in G.elements()], dtype=np.float64)
             weights = np.array(
                 [w / m for w, m in zip(self.label, G.moduli)], dtype=np.float64
             )
-            phases = np.exp(2j * np.pi * (digit_rows @ weights))
+            phases = np.exp(2j * np.pi * (G.rows.astype(np.float64) @ weights))
             return phases.reshape(G.order, 1, 1)
         gens, gen_idx = self._generators()
+        right = np.array([G.translate(s) for s in gen_idx], dtype=np.int64).reshape(-1, G.order)
         stack = np.zeros((G.order, self.dim, self.dim))
         stack[0] = np.eye(self.dim)
         done = np.zeros(G.order, dtype=bool)
         done[0] = True
-        queue = [0]
-        while queue:
-            nxt = []
-            for g in queue:
-                for M, si in zip(gens, gen_idx):
-                    h = G.compose(g, si)
-                    if not done[h]:
-                        done[h] = True
-                        stack[h] = stack[g] @ M
-                        nxt.append(h)
-            queue = nxt
+        level = np.zeros(1, dtype=np.int64)
+        # Breadth-first, one level at a time: each new element h = g * s_i takes
+        # the first (g, i) pair in (level order, generator order) as its parent.
+        while level.size:
+            reached = right[:, level].T.ravel()
+            fresh = np.flatnonzero(~done[reached])
+            _, first = np.unique(reached[fresh], return_index=True)
+            pairs = fresh[np.sort(first)]
+            parents, gen = level[pairs // len(gens)], pairs % len(gens)
+            level = reached[pairs]
+            done[level] = True
+            for i, M in enumerate(gens):
+                pick = gen == i
+                stack[level[pick]] = stack[parents[pick]] @ M
         if not done.all():
             raise ConsistencyError("generators failed to reach every group element")
         return stack

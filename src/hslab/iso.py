@@ -264,23 +264,17 @@ def find_shift_bruteforce(pair: ShiftOraclePair):
     position_first = {y: g for g, y in enumerate(pair.outputs_first)}
     if len(position_first) != G.order:
         raise ConsistencyError("first oracle table is not injective")
-    shift = None
-    hits = 0
-    for g, y in enumerate(pair.outputs_second):
-        h = position_first.get(y)
-        if h is None:
-            continue
-        hits += 1
-        candidate = G.compose(G.inverse(g), h)
-        if shift is None:
-            shift = candidate
-        elif shift != candidate:
-            raise ConsistencyError("oracle tables disagree about the shift")
-    if hits == 0:
+    second = pair.outputs_second
+    hits = [(g, position_first[y]) for g, y in enumerate(second) if y in position_first]
+    if not hits:
         return None
-    if hits != G.order:
+    g, h = np.array(hits).T
+    candidates = G.compose(G.inverse_vector()[g], h)
+    if np.any(candidates != candidates[0]):
+        raise ConsistencyError("oracle tables disagree about the shift")
+    if len(hits) != G.order:
         raise ConsistencyError("oracle ranges overlap only partially")
-    return shift
+    return int(candidates[0])
 
 
 def states_from_oracles(pair: ShiftOraclePair, copies: int = 1) -> ShiftState:

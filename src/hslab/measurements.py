@@ -30,9 +30,13 @@ class HelstromResult:
     """Optimal two-outcome measurement for equal-prior state discrimination."""
 
     projector_first: np.ndarray
-    projector_second: np.ndarray
     success: float
     trace_norm: float
+
+    @property
+    def projector_second(self) -> np.ndarray:
+        """The complementary effect I - projector_first."""
+        return np.eye(len(self.projector_first)) - self.projector_first
 
 
 def _check_density(M: np.ndarray, who: str) -> np.ndarray:
@@ -66,7 +70,7 @@ def helstrom(rho_first: np.ndarray, rho_second: np.ndarray) -> HelstromResult:
     e2 = np.eye(r1.shape[0]) - e1
     # tr(e @ r) without the product: the row sums of e * r.T are its diagonal
     success = 0.5 * ((e1 * r1.T).sum(axis=1).sum() + (e2 * r2.T).sum(axis=1).sum()).real
-    return HelstromResult(e1, e2, float(success), float(np.abs(w).sum()))
+    return HelstromResult(e1, float(success), float(np.abs(w).sum()))
 
 
 # ---------------------------------------------------------------------------

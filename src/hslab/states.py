@@ -528,12 +528,9 @@ def subgroup_restriction_check(
     """
     G, H = emb.parent, emb.subgroup
     m = G.order // H.order
-    perm = np.empty(2 * G.order, dtype=np.int64)
-    for x in (0, 1):
-        for h in H.elements():
-            for t_pos, t in enumerate(emb.transversal):
-                new = (x * H.order + h) * m + t_pos
-                perm[new] = x * G.order + G.compose(t, emb.injection[h])
+    # new position (x * |H| + h) * m + t_pos holds old position x * |G| + t * iota(h)
+    coset = G.compose(np.array(emb.transversal), np.array(emb.injection)[:, None]).ravel()
+    perm = np.concatenate([coset, G.order + coset])
     mix = np.eye(m) / m
     avg_G = np.zeros((2 * G.order, 2 * G.order))
     avg_H = np.zeros((2 * H.order, 2 * H.order))

@@ -19,6 +19,8 @@ from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group
 
 TABLE_OP_LIMIT = 100_000_000
+# 1 GiB of int32 cells; the last copy step holds about two such arrays
+_TABLE_CELL_LIMIT = 2 ** 28
 _TABLE_FAST_LIMIT = 2_000_000
 _CONV_OP_LIMIT = 20_000_000
 
@@ -81,9 +83,13 @@ def subset_sum_table(group: Group, copies: int) -> SubsetSumTable:
         raise CapacityError(
             f"subset-sum table needs {work} counting steps, beyond {TABLE_OP_LIMIT}"
         )
-    digits = group._digits_matrix()
-    moduli = np.array(group.moduli, dtype=np.int64)
-    minus = group._indices_of_digit_rows((digits[None] - digits[:, None]) % moduli)  # w - x
+    cells = N ** (copies + 1)
+    if cells > _TABLE_CELL_LIMIT:
+        raise CapacityError(
+            f"subset-sum table needs {cells} cells, beyond {_TABLE_CELL_LIMIT}"
+        )
+    g = np.arange(N)
+    minus = group.compose(g[None, :], group.inverse_vector()[:, None])  # w - x
     counts = np.eye(1, N, dtype=np.int32)
     for _ in range(copies):
         counts = (counts[:, None, :] + counts[:, minus]).reshape(-1, N)
@@ -174,7 +180,7 @@ def _convolution_totals(group: Group, copies: int) -> tuple[int, int]:
     N = group.order
     if copies * 4 * N ** 3 > _CONV_OP_LIMIT:
         raise CapacityError("moment recursion too large for this group order")
-    add = [[group.compose(a, b) for b in range(N)] for a in range(N)]
+    add = group.compose_table().tolist()
 
     single = [1] + [0] * (N - 1)
     for _ in range(copies):

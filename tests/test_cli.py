@@ -199,12 +199,15 @@ def test_exit_code_domain_error(cache_dir):
 
 
 def test_exit_code_capacity_error(cache_dir):
-    proc = run_cli(
-        "rank", "--group", "S6", "--k", "3", cache_dir=cache_dir, check=False
-    )
-    assert proc.returncode == 3
-    err = json.loads(proc.stderr)
-    assert err["error"]["type"] == "CapacityError"
+    for argv in (
+        ("rank", "--group", "S6", "--k", "3"),
+        # an 11.6 GB subset-sum table, refused before it is allocated
+        ("subset-sum", "--group", "Z232", "--k", "3", "--method", "table"),
+    ):
+        proc = run_cli(*argv, cache_dir=cache_dir, check=False)
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "CapacityError"
 
 
 def test_iso_inline_isomorphic_pair(cache_dir):

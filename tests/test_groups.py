@@ -21,10 +21,15 @@ from hslab.groups import (
 )
 
 SMALL_GROUPS = [
+    symmetric_group(1),
+    symmetric_group(2),
     symmetric_group(3),
     symmetric_group(4),
+    symmetric_group(5),
+    abelian_group(1),
     abelian_group(6),
     abelian_group(2, 4),
+    abelian_group(2, 3, 4),
 ]
 
 
@@ -75,26 +80,51 @@ def test_group_axioms_exhaustive(group):
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.descriptor)
 def test_translate_matches_compose(group):
+    # translate and compose_table run the array form of compose; compare
+    # both with the scalar form, element by element
+    table = group.compose_table()
     for s in group.elements():
         t = group.translate(s)
+        assert t.tolist() == table[:, s].tolist()
         for g in group.elements():
             assert t[g] == group.compose(g, s)
 
 
 def test_symmetric_indexing_matches_images():
     G = symmetric_group(4)
-    for a in G.elements():
-        assert G.index_of_perm(G.perm(a)) == a
     for a in range(24):
         for b in range(24):
             assert G.perm(G.compose(a, b)) == compose_perms(G.perm(a), G.perm(b))
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        G = symmetric_group(n)
+        sample = G.elements() if n < 8 else rng.integers(G.order, size=2000).tolist()
+        for a in sample:
+            assert G.perm(a) == perm_unrank(a, n)
+            assert G.index_of_perm(G.perm(a)) == a
+    # seeded pairs in the larger groups, against the tuple primitives
+    for n in (6, 7, 8):
+        G = symmetric_group(n)
+        a, b = rng.integers(G.order, size=(2, 5000))
+        ab = G.compose(a, b)
+        for x, y, xy in zip(a.tolist(), b.tolist(), ab.tolist()):
+            assert G.compose(x, y) == xy
+            assert perm_unrank(xy, n) == compose_perms(perm_unrank(x, n), perm_unrank(y, n))
+            assert perm_unrank(G.inverse(x), n) == invert_perm(perm_unrank(x, n))
 
 
 def test_abelian_indexing_digits():
+    for moduli in ((4096,), (2, 3, 4)):
+        G = abelian_group(moduli)
+        for a in G.elements():
+            digits, rest = [], a
+            for m in reversed(moduli):
+                rest, d = divmod(rest, m)
+                digits.insert(0, d)
+            assert G.digits(a) == tuple(digits)
+            assert G.index_of_digits(G.digits(a)) == a
     G = abelian_group(2, 3, 4)
     assert G.order == 24
-    for a in G.elements():
-        assert G.index_of_digits(G.digits(a)) == a
     # leftmost digit is most significant
     assert G.digits(0) == (0, 0, 0)
     assert G.digits(1) == (0, 0, 1)

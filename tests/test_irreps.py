@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from hslab.errors import CapacityError, ConsistencyError, DomainError
-from hslab.groups import abelian_group, partitions, symmetric_group
+from hslab.groups import (
+    abelian_group,
+    compose_perms,
+    partitions,
+    perm_rank,
+    perm_unrank,
+    symmetric_group,
+)
 from hslab import irrep_cache
 from hslab.irreps import (
+    Irrep,
     average_rep,
     average_rep_antirep,
     fourier,
@@ -93,6 +101,40 @@ def test_homomorphism_exhaustive(G):
             lhs = stack[a] @ stack
             assert np.allclose(lhs, stack[table[a]], atol=1e-10)
         assert np.allclose(stack[G.identity], np.eye(rep.dim), atol=1e-12)
+
+
+def queue_bfs_stack(rep):
+    """Reference build: breadth-first search with a per-element queue on
+    permutation tuples; each element's matrix is its parent's times the
+    first generator that reaches it."""
+    n, order = rep.group.degree, rep.group.order
+    gens = young_generator_matrices(rep.label)
+    swaps = [tuple(range(p)) + (p + 1, p) + tuple(range(p + 2, n)) for p in range(n - 1)]
+    stack = np.zeros((order, rep.dim, rep.dim))
+    stack[0] = np.eye(rep.dim)
+    done = {0}
+    queue = [0]
+    while queue:
+        nxt = []
+        for g in queue:
+            for M, s in zip(gens, swaps):
+                h = perm_rank(compose_perms(perm_unrank(g, n), s))
+                if h not in done:
+                    done.add(h)
+                    stack[h] = stack[g] @ M
+                    nxt.append(h)
+        queue = nxt
+    assert len(done) == order
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacks_match_queue_bfs(n):
+    for rep in irreps(symmetric_group(n)):
+        built = Irrep(rep.group, rep.label, rep.dim).stack()
+        assert built.tobytes() == queue_bfs_stack(rep).tobytes()
+    if n == 1:
+        assert built.tolist() == [[[1.0]]]
 
 
 def test_symmetric_matrices_real_orthogonal():

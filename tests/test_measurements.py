@@ -70,6 +70,8 @@ def test_helstrom_outputs_form_a_measurement():
     assert np.allclose(e1 + e2, np.eye(8), atol=1e-12)
     assert np.allclose(e1 @ e1, e1, atol=1e-10)
     assert np.allclose(e2 @ e2, e2, atol=1e-10)
+    # the second projector is derived on access, not stored
+    assert [type(v) for v in vars(res).values()].count(np.ndarray) == 1
 
 
 def test_helstrom_rejects_bad_input():

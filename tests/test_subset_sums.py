@@ -1,5 +1,6 @@
 """Subset-sum counting over abelian groups: tables, moments, success rates."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -187,6 +188,20 @@ def test_domain_and_capacity_errors():
             subset_sum_table(abelian_group(N), k)
     assert (2 * 5) ** 8 == TABLE_OP_LIMIT
     assert subset_sum_table(abelian_group(5), 8).counts.shape == (5 ** 8, 5)
+    # within the counting-step price, but an 11.6 GB and a 275 GB int32
+    # table: refused on its cell count, before anything is allocated
+    for N, k in ((232, 3), (4096, 2)):
+        assert (2 * N) ** k <= TABLE_OP_LIMIT
+        with pytest.raises(CapacityError):
+            subset_sum_table(abelian_group(N), k)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            subset_sum_table(abelian_group(232), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_trivial_group():
