@@ -9,7 +9,8 @@ version and the run configuration) or JSON; both are deterministic for a
 fixed configuration and contain no timestamps.
 
 Exit codes: 0 success, 2 invalid input, 3 capacity limit, 4 internal
-consistency failure. Errors are reported as a JSON object on stderr.
+consistency failure, 141 stdout closed early (a broken pipe). Errors are
+reported as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -136,12 +137,8 @@ def _emit(args, rows: list[dict], config: dict, extra: dict | None = None) -> No
 
 
 def _resolve_cache_dir(args) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    env = os.environ.get("HSLAB_CACHE")
-    if env:
-        return env
-    return str(Path.home() / ".cache" / "hslab")
+    """The disk cache is used only when --cache-dir or HSLAB_CACHE names it."""
+    return getattr(args, "cache_dir", None) or os.environ.get("HSLAB_CACHE") or None
 
 
 def _load_group(args) -> Group:
@@ -607,13 +604,20 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "k", 1) < 1:
             raise DomainError("k must be at least 1")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
     except DomainError as exc:
         return _fail(exc, 2)
     except CapacityError as exc:
         return _fail(exc, 3)
     except ConsistencyError as exc:
         return _fail(exc, 4)
+    except BrokenPipeError:
+        # The reader of stdout went away; send the rest to devnull so the
+        # interpreter's final flush stays quiet, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _fail(exc: Exception, code: int) -> int:

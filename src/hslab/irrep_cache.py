@@ -1,39 +1,15 @@
-"""On-disk cache of irrep matrix stacks.
+"""On-disk irrep stack cache, one `<descriptor>.irr` file per group: `np.save` records
+(a string array of the descriptor and the irrep names, then each (order, d, d) stack
+in its own dtype), then their CRC-32 as 4 little-endian bytes. Bad files are rebuilt."""
 
-One file per group descriptor, little-endian throughout:
-
-    offset  size  field
-    0       4     magic b"HSIR"
-    4       4     u32 format version (currently 1)
-    8       4     u32 byte length L of the descriptor
-    12      L     descriptor, UTF-8 (e.g. "S4")
-    ..      4     u32 group order NG
-    ..      4     u32 irrep count R
-
-followed by R irrep records:
-
-    4             u32 byte length M of the irrep name
-    M             irrep name, UTF-8 (e.g. "3+1")
-    4             u32 dimension d
-    NG*d*d*16     float64 (re, im) pairs; matrices for element indices
-                  0..NG-1 in order, each row-major
-
-A file that is truncated, has the wrong magic/version, or disagrees with
-the requesting group is ignored (the caller recomputes and overwrites).
-"""
-
-from __future__ import annotations
-
+import io
 import os
-import struct
 import tempfile
+import zlib
 
 import numpy as np
 
 from .groups import Group
-
-MAGIC = b"HSIR"
-VERSION = 1
 
 
 def cache_path(cache_dir: str | os.PathLike, group: Group) -> str:
@@ -41,27 +17,15 @@ def cache_path(cache_dir: str | os.PathLike, group: Group) -> str:
 
 
 def write_cache(path: str, group: Group, records: list[tuple[str, np.ndarray]]) -> None:
-    """Write the file through a temp file of this writer's own, then rename
-    it into place, so concurrent writers never share a partial file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    desc = group.descriptor.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
+    """Write through a temp file of this writer's own, renamed into place."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<I", len(desc)))
-            fh.write(desc)
-            fh.write(struct.pack("<II", group.order, len(records)))
-            for name, stack in records:
-                raw = name.encode("utf-8")
-                dim = stack.shape[1]
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", dim))
-                data = np.ascontiguousarray(stack, dtype=np.complex128)
-                fh.write(data.astype("<c16").tobytes())
+        with os.fdopen(fd, "wb") as fh, io.BytesIO() as buf:
+            names = np.array([group.descriptor] + [name for name, _ in records])
+            for array in [names] + [stack for _, stack in records]:
+                np.save(buf, array, allow_pickle=False)
+            fh.write(buf.getvalue() + zlib.crc32(buf.getvalue()).to_bytes(4, "little"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -73,49 +37,14 @@ def read_cache(path: str, group: Group) -> list[tuple[str, np.ndarray]] | None:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError:
+        if zlib.crc32(blob[:-4]).to_bytes(4, "little") != blob[-4:]:
+            return None  # checked first, so no corrupt header reaches np.load
+        body = io.BytesIO(blob[:-4])
+        names = np.load(body, allow_pickle=False)
+        stacks = [np.load(body, allow_pickle=False) for _ in names[1:]]
+    except (OSError, ValueError, EOFError, IndexError):
         return None
-    try:
-        return _parse(blob, group)
-    except (ValueError, struct.error):
+    fits = not body.read(1) and all(s.shape == (group.order,) + s.shape[-1:] * 2 for s in stacks)
+    if names[:1].tolist() != [group.descriptor] or not fits:
         return None
-
-
-def _parse(blob: bytes, group: Group) -> list[tuple[str, np.ndarray]]:
-    view = memoryview(blob)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise ValueError("truncated cache file")
-        out = view[pos : pos + n]
-        pos += n
-        return out
-
-    if bytes(take(4)) != MAGIC:
-        raise ValueError("bad magic")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise ValueError("version mismatch")
-    (dlen,) = struct.unpack("<I", take(4))
-    if bytes(take(dlen)).decode("utf-8") != group.descriptor:
-        raise ValueError("descriptor mismatch")
-    order, count = struct.unpack("<II", take(8))
-    if order != group.order:
-        raise ValueError("order mismatch")
-    records = []
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", take(4))
-        name = bytes(take(nlen)).decode("utf-8")
-        (dim,) = struct.unpack("<I", take(4))
-        if dim == 0 or dim * dim > order:
-            raise ValueError("implausible dimension")
-        data = np.frombuffer(take(order * dim * dim * 16), dtype="<c16")
-        stack = data.reshape(order, dim, dim).copy()
-        if np.max(np.abs(stack.imag)) < 1e-15:
-            stack = np.ascontiguousarray(stack.real)
-        records.append((name, stack))
-    if pos != len(view):
-        raise ValueError("trailing bytes in cache file")
-    return records
+    return [(str(name), stack) for name, stack in zip(names[1:], stacks)]

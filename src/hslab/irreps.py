@@ -234,8 +234,8 @@ def irreps(group: Group, cache_dir: str | os.PathLike | None = None) -> tuple[Ir
     """The complete list of irreps of `group` in canonical order.
 
     Results are memoized per descriptor. If cache_dir is given, symmetric
-    group matrix stacks are loaded from / saved to a binary cache file there
-    (corrupt or mismatched files are silently rebuilt). A memoized result is
+    group matrix stacks are loaded from / saved to a checksummed cache file
+    there (corrupt or mismatched files are silently rebuilt). A memoized result is
     saved to a cache_dir that lacks the file, and a cache_dir that cannot be
     written is skipped.
     """
@@ -338,7 +338,7 @@ class FourierTransform:
     offsets: dict[tuple, int]
 
 
-def fourier(group: Group, validate: bool = True) -> FourierTransform:
+def fourier(group: Group) -> FourierTransform:
     """Build the group Fourier matrix and verify its defining properties.
 
     Unitarity is always checked. The translation intertwining identity is
@@ -365,8 +365,7 @@ def fourier(group: Group, validate: bool = True) -> FourierTransform:
         off += d * d
     F = np.vstack(blocks).astype(np.complex128)
     ft = FourierTransform(group, F, tuple(rows), offsets)
-    if validate:
-        _validate_fourier(ft, reps)
+    _validate_fourier(ft, reps)
     return ft
 
 
@@ -381,25 +380,19 @@ def _validate_fourier(ft: FourierTransform, reps: tuple[Irrep, ...]) -> None:
     else:
         sample = sorted(set([0, 1, N // 3, N // 2, N - 1]))
     for s in sample:
-        lhs = F @ regular_rep(ft.group, s)
-        blocks = [np.kron(np.eye(r.dim), r.matrix(s)) for r in reps]
-        rhs = _block_diag(blocks) @ F
-        resid = np.max(np.abs(lhs - rhs))
+        # F R(s) = (direct sum of I_d (x) rho(s)) F, irrep by irrep: the left
+        # side permutes F's columns, the right applies rho(s) to the j index
+        # of the irrep's rows read as (i, j, g)
+        cols = ft.group.translate(ft.group.inverse(s))
+        resid = 0.0
+        for rep in reps:
+            d, off = rep.dim, ft.offsets[rep.label]
+            rows = F[off : off + d * d].reshape(d, d, N)
+            resid = max(resid, np.max(np.abs(rows[:, :, cols] - rep.matrix(s) @ rows)))
         if resid > 1e-9:
             raise ConsistencyError(
                 f"Fourier intertwining failed at element {s} (residual {resid:.3e})"
             )
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=np.complex128)
-    off = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[off : off + n, off : off + n] = b
-        off += n
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
 AVERAGE_STACK_LIMIT = 2 ** 26
 RANK_RTOL = 1e-8
+CLUSTER_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +314,11 @@ class SpectrumReport:
     min_nonzero: float | None
 
 
-def spectrum(M: np.ndarray, cluster_tol: float = 1e-8) -> SpectrumReport:
+def spectrum(M: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a Hermitian matrix in descending order.
 
     Raises DomainError for non-Hermitian input. The eigendecomposition is
-    verified by reconstruction; eigenvalues within cluster_tol of each other
+    verified by reconstruction; eigenvalues within CLUSTER_TOL of each other
     merge into one multiplicity cluster, and rank counts eigenvalues above
     1e-8 times the largest magnitude.
     """
@@ -334,18 +335,18 @@ def spectrum(M: np.ndarray, cluster_tol: float = 1e-8) -> SpectrumReport:
     return SpectrumReport(
         dim=M.shape[0],
         eigenvalues=w,
-        clusters=tuple(_cluster(w, cluster_tol)),
+        clusters=tuple(_cluster(w)),
         rank=_numeric_rank(w),
         max_eigenvalue=float(w[0]),
         min_nonzero=_min_nonzero(w),
     )
 
 
-def _cluster(desc: np.ndarray, tol: float) -> list[tuple[float, int]]:
+def _cluster(desc: np.ndarray) -> list[tuple[float, int]]:
     out: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(desc) + 1):
-        if i == len(desc) or desc[i - 1] - desc[i] > tol:
+        if i == len(desc) or desc[i - 1] - desc[i] > CLUSTER_TOL:
             chunk = desc[start:i]
             out.append((float(chunk.mean()), len(chunk)))
             start = i
@@ -365,10 +366,10 @@ def _min_nonzero(desc: np.ndarray) -> float | None:
     return float(keep[-1]) if len(keep) else None
 
 
-def state_spectrum(state: ShiftState, cluster_tol: float = 1e-8) -> SpectrumReport:
+def state_spectrum(state: ShiftState) -> SpectrumReport:
     """Spectrum of a state on the state scale, from either representation."""
     if state.form == "dense":
-        return spectrum(state.dense, cluster_tol)
+        return spectrum(state.dense)
     scale = state.scale()
     pieces = []
     for blk in state.blocks.values():
@@ -378,7 +379,7 @@ def state_spectrum(state: ShiftState, cluster_tol: float = 1e-8) -> SpectrumRepo
     return SpectrumReport(
         dim=state.dimension,
         eigenvalues=allw,
-        clusters=tuple(_cluster(allw, cluster_tol)),
+        clusters=tuple(_cluster(allw)),
         rank=_numeric_rank(allw),
         max_eigenvalue=float(allw[0]),
         min_nonzero=_min_nonzero(allw),
@@ -516,15 +517,13 @@ def dense_from_blocks(state: ShiftState) -> np.ndarray:
 # subgroup restriction
 
 
-def subgroup_restriction_check(
-    emb: SubgroupEmbedding, tol: float = 1e-9, each_shift: bool = True
-) -> bool:
+def subgroup_restriction_check(emb: SubgroupEmbedding, tol: float = 1e-9) -> bool:
     """Verify the tensor factorization of states with shifts from a subgroup.
 
     When the hidden shift ranges over an embedded subgroup H of G, the
     single-copy G-state reordered by the coset factorization g = t * iota(h)
     equals (H-state) (x) (maximally mixed on the |G|/|H| transversal slots).
-    Checked per fixed shift (optional) and for the H-averaged mixture.
+    Checked per fixed shift and for the H-averaged mixture.
     """
     G, H = emb.parent, emb.subgroup
     m = G.order // H.order
@@ -539,10 +538,9 @@ def subgroup_restriction_check(
         dense_H = shift_state_dense(H, h, 1).dense
         avg_G += dense_G
         avg_H += dense_H
-        if each_shift:
-            lhs = dense_G[np.ix_(perm, perm)]
-            if np.max(np.abs(lhs - np.kron(dense_H, mix))) > tol:
-                return False
+        lhs = dense_G[np.ix_(perm, perm)]
+        if np.max(np.abs(lhs - np.kron(dense_H, mix))) > tol:
+            return False
     lhs = (avg_G / H.order)[np.ix_(perm, perm)]
     rhs = np.kron(avg_H / H.order, mix)
     return bool(np.max(np.abs(lhs - rhs)) <= tol)

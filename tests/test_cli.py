@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from hslab.groups import symmetric_group
+from hslab.irrep_cache import read_cache
+
 TRIANGLE = "3;1 2;2 3;colors: 0 1 2"
 RELABELED = "3;1 2;1 3;colors: 1 0 2"  # image of the triangle under 0<->1
 SPARSER = "3;1 2;colors: 0 1 2"
@@ -286,6 +289,59 @@ def test_unwritable_cache_dir_is_skipped(cache_dir, tmp_path):
     proc = run_cli(*argv, "--cache-dir", str(blocker / "sub"), cache_dir=cache_dir)
     assert proc.stdout == good.stdout
     assert proc.stderr == ""
+
+
+def test_corrupt_cache_file_is_rebuilt(tmp_path):
+    home = tmp_path / "home"
+    home.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "HSLAB_CACHE"}
+    env["HOME"] = str(home)
+    argv = [sys.executable, "-m", "hslab.cli", "variance-bound", "--group", "S4", "--seed", "1"]
+
+    def run(*extra):
+        proc = subprocess.run([*argv, *extra], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    plain = run()
+    # without --cache-dir or HSLAB_CACHE nothing is written
+    assert list(home.rglob("*")) == []
+    cache = tmp_path / "cache"
+    assert run("--cache-dir", str(cache)) == plain
+    path = cache / "S4.irr"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    assert run("--cache-dir", str(cache)) == plain
+    assert read_cache(str(path), symmetric_group(4)) is not None
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 200 kB of rows outlast the pipe buffer, so the command is
+        # still writing when the reader closes its end
+        (["sweep", "--group", "S3", "--trials", "4000"], 1),
+        # a few bytes that sit in stdout's buffer until the command ends
+        (["rank", "--group", "S3"], 0),
+    ],
+    ids=["large", "small"],
+)
+def test_closed_stdout_exits_141_quietly(cache_dir, argv, lines_read):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["HSLAB_CACHE"] = str(cache_dir)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hslab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"# hslab 0.1.0 ")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert stderr == ""
 
 
 def test_verify_all_battery(cache_dir):

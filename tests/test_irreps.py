@@ -16,7 +16,9 @@ from hslab.groups import (
 )
 from hslab import irrep_cache
 from hslab.irreps import (
+    FourierTransform,
     Irrep,
+    _validate_fourier,
     average_rep,
     average_rep_antirep,
     fourier,
@@ -242,6 +244,24 @@ def test_fourier_row_layout():
             assert np.allclose(row, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "G",
+    [symmetric_group(3), symmetric_group(6), abelian_group(2, 4)],
+    ids=lambda g: g.descriptor,
+)
+def test_fourier_check_rejects_a_perturbed_matrix(G):
+    ft = fourier(G)
+    nudged = ft.matrix.copy()
+    nudged[G.order // 2, 1] += 1e-6
+    swapped = ft.matrix.copy()
+    swapped[:, [0, 1]] = swapped[:, [1, 0]]
+    # a column swap keeps the matrix unitary; only the translation check sees it
+    assert np.max(np.abs(swapped @ swapped.conj().T - np.eye(G.order))) < 1e-12
+    for bad, match in ((nudged, "not unitary"), (swapped, "intertwining")):
+        with pytest.raises(ConsistencyError, match=match):
+            _validate_fourier(FourierTransform(G, bad, ft.rows, ft.offsets), irreps(G))
+
+
 def test_average_rep_projects_out_nontrivial():
     G = symmetric_group(4)
     for rep in irreps(G):
@@ -288,19 +308,21 @@ def test_trivial_multiplicity_tensor_squares():
 
 
 def test_cache_round_trip(tmp_path):
-    G = symmetric_group(4)
-    records = [(r.name, r.stack()) for r in irreps(G)]
-    path = irrep_cache.cache_path(tmp_path, G)
-    irrep_cache.write_cache(path, G, records)
-    loaded = irrep_cache.read_cache(path, G)
-    assert loaded is not None
-    for (name0, stack0), (name1, stack1) in zip(records, loaded):
-        assert name0 == name1
-        assert np.array_equal(stack0, stack1)
-    # rewriting produces identical bytes
-    blob0 = open(path, "rb").read()
-    irrep_cache.write_cache(path, G, records)
-    assert open(path, "rb").read() == blob0
+    for n in range(1, 7):
+        G = symmetric_group(n)
+        records = [(r.name, r.stack()) for r in irreps(G)]
+        path = irrep_cache.cache_path(tmp_path, G)
+        irrep_cache.write_cache(path, G, records)
+        loaded = irrep_cache.read_cache(path, G)
+        assert loaded is not None and len(loaded) == len(records)
+        for (name0, stack0), (name1, stack1) in zip(records, loaded):
+            assert name0 == name1 and type(name1) is str
+            assert stack1.dtype == stack0.dtype == np.float64
+            assert stack1.tobytes() == stack0.tobytes()
+        # rewriting produces identical bytes
+        blob0 = open(path, "rb").read()
+        irrep_cache.write_cache(path, G, records)
+        assert open(path, "rb").read() == blob0
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -319,6 +341,24 @@ def test_cache_rejects_corruption(tmp_path):
     assert irrep_cache.read_cache(str(tmp_path / "none.irr"), G) is None
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_cache_rejects_every_byte_flip_and_truncation(tmp_path, n):
+    G = symmetric_group(n)
+    path = irrep_cache.cache_path(tmp_path, G)
+    irrep_cache.write_cache(path, G, [(r.name, r.stack()) for r in irreps(G)])
+    blob = open(path, "rb").read()
+    accepted = []
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0xFF
+        for kind, bad in (("flip", bytes(flipped)), ("truncation", blob[:i])):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            if irrep_cache.read_cache(path, G) is not None:
+                accepted.append((kind, i))
+    assert accepted == []
+
+
 def test_cache_write_uses_its_own_temp_file(tmp_path):
     G = symmetric_group(3)
     records = [(r.name, r.stack()) for r in irreps(G)]
@@ -328,7 +368,7 @@ def test_cache_write_uses_its_own_temp_file(tmp_path):
     irrep_cache.write_cache(path, G, records)
     assert irrep_cache.read_cache(path, G) is not None
     # a failed write leaves no temp file behind
-    with pytest.raises(AttributeError):
+    with pytest.raises(ValueError):
         irrep_cache.write_cache(path, G, [(None, records[0][1])])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["S3.irr", "S3.irr.tmp"]
 
