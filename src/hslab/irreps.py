@@ -372,7 +372,9 @@ def fourier(group: Group) -> FourierTransform:
 def _validate_fourier(ft: FourierTransform, reps: tuple[Irrep, ...]) -> None:
     F = ft.matrix
     N = ft.group.order
-    unit = np.max(np.abs(F @ F.conj().T - np.eye(N)))
+    # S_n's Fourier matrix is real: its unitarity product needs no complex arithmetic
+    gram = F @ F.conj().T if F.imag.any() else F.real @ F.real.T
+    unit = np.max(np.abs(gram - np.eye(N)))
     if unit > 1e-12:
         raise ConsistencyError(f"Fourier matrix is not unitary (residual {unit:.3e})")
     if N <= _EXHAUSTIVE_CHECK_ORDER:

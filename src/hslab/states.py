@@ -33,6 +33,8 @@ from .irreps import Irrep, fourier, irreps, kron_stack, regular_rep
 DENSE_DIM_LIMIT = 10_000
 BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
+MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
+RANK_CHUNK_CELLS = 2 ** 16
 AVERAGE_STACK_LIMIT = 2 ** 26
 RANK_RTOL = 1e-8
 CLUSTER_TOL = 1e-8
@@ -174,6 +176,14 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
         )
     if copies < 1:
         raise DomainError("copies must be a positive integer")
+    # the identity blocks hold (2^k D)^2 entries per tuple, 8 (4|G|)^k bytes in all
+    if 8 * (4 * group.order) ** copies > MIXED_BLOCK_BYTES_LIMIT:
+        raise CapacityError(
+            f"identity blocks of {group.descriptor} with k={copies} exceed the memory budget"
+        )
+    largest = (2 ** copies) * max(r.dim for r in irreps(group)) ** copies
+    if largest > BLOCK_DIM_LIMIT:
+        raise CapacityError(f"block dimension {largest} exceeds {BLOCK_DIM_LIMIT}")
     blocks: dict[tuple, Block] = {}
     for reps in product(irreps(group), repeat=copies):
         labels = tuple(r.label for r in reps)
@@ -184,6 +194,55 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
 
 # ---------------------------------------------------------------------------
 # block constructions
+
+
+def _check_reps(reps: tuple[Irrep, ...]) -> Group:
+    group = reps[0].group
+    if any(r.group != group for r in reps):
+        raise DomainError("irreps must all belong to the same group")
+    return group
+
+
+def _guard_average(group: Group, out_dim: int) -> None:
+    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
+        raise CapacityError(
+            f"averaging a {out_dim}-dimensional product over {group.order} elements "
+            "exceeds the memory budget"
+        )
+
+
+def _average_product(reps, exponents) -> np.ndarray:
+    """Group average of the Kronecker product of rho_j(g^e_j), every e_j being -1 or 1.
+
+    With no factors the product is the 1 x 1 identity.
+    """
+    if not reps:
+        return np.eye(1)
+    inv = reps[0].group.inverse_vector()
+    cur = None
+    for r, e in zip(reps, exponents):
+        part = r.stack() if e == 1 else r.stack()[inv]
+        cur = part if cur is None else kron_stack(cur, part)
+    return cur.mean(axis=0)
+
+
+def _pad_identity(out: np.ndarray, dims: list[int], exponents, avg: np.ndarray) -> None:
+    """Write avg, the average over the factors with a nonzero exponent, into the
+    zeroed D x D matrix out as the full product with identity factors where
+    the exponent is zero.
+
+    Only the diagonal of the identity factors is written, so every other
+    entry stays +0.0 whatever the sign of avg.
+    """
+    k = len(dims)
+    nz = [j for j, e in enumerate(exponents) if e]
+    zero = [j for j, e in enumerate(exponents) if not e]
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    rows = letters[:k]
+    cols = "".join(letters[k + j] if e else rows[j] for j, e in enumerate(exponents))
+    kept = "".join([rows[j] for j in nz] + [cols[j] for j in nz] + [rows[j] for j in zero])
+    diagonal = np.einsum(f"{rows}{cols}->{kept}", out.reshape(dims * 2))
+    diagonal[...] = avg.reshape([dims[j] for j in nz] * 2 + [1] * len(zero))
 
 
 def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int | None = None) -> np.ndarray:
@@ -198,9 +257,7 @@ def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int 
         raise DomainError("one exponent per irrep is required")
     if any(e not in (-1, 0, 1) for e in exponents):
         raise DomainError("exponents must be -1, 0 or 1")
-    group = reps[0].group
-    if any(r.group != group for r in reps):
-        raise DomainError("irreps must all belong to the same group")
+    group = _check_reps(reps)
     if shift is not None:
         group.check_index(shift)
         mats = []
@@ -212,52 +269,76 @@ def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int 
             else:
                 mats.append(r.matrix(group.inverse(shift)))
         return reduce(np.kron, mats)
-    out_dim = prod(r.dim for r in reps)
-    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
-        raise CapacityError(
-            f"averaging a {out_dim}-dimensional product over {group.order} elements "
-            "exceeds the memory budget"
-        )
-    inv = group.inverse_vector()
-    cur = None
-    for r, e in zip(reps, exponents):
-        if e == 0:
-            part = np.broadcast_to(np.eye(r.dim), (group.order, r.dim, r.dim))
-        elif e == 1:
-            part = r.stack()
-        else:
-            part = r.stack()[inv]
-        cur = part if cur is None else kron_stack(cur, part)
-    return cur.mean(axis=0)
+    dims = [r.dim for r in reps]
+    _guard_average(group, prod(dims))
+    nz = [j for j, e in enumerate(exponents) if e]
+    avg = _average_product([reps[j] for j in nz], [exponents[j] for j in nz])
+    out = np.zeros((prod(dims), prod(dims)), dtype=avg.dtype)
+    _pad_identity(out, dims, exponents, avg)
+    return out
+
+
+def _exponent_grid(k: int) -> np.ndarray:
+    """(2^k, 2^k, k) int array whose (x, y) entry is y - x, for the bit tuples
+    x and y in product((0, 1)) order: the exponents of cell (x, y) of a block."""
+    bits = np.array(list(product((0, 1), repeat=k)), dtype=np.int64).reshape(2 ** k, k)
+    return bits[None, :, :] - bits[:, None, :]
+
+
+def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
+    """state_block, reading and filling memo with the averages over fewer than
+    k nonzero factors, which recur across the irrep tuples of one scan."""
+    k = len(reps)
+    if k < 1:
+        raise DomainError("at least one irrep is required")
+    dims = [r.dim for r in reps]
+    D = prod(dims)
+    dim = (2 ** k) * D
+    if dim > BLOCK_DIM_LIMIT:
+        raise CapacityError(f"block dimension {dim} exceeds {BLOCK_DIM_LIMIT}")
+    group = _check_reps(reps)
+    labels = tuple(r.label for r in reps)
+    if shift is not None:
+        # per copy [[I, rho(s)], [rho(s^-1), I]], indexed (bit, inner); the
+        # Kronecker chain is indexed (x_1, i_1, ..., x_k, i_k), so move the bits first
+        group.check_index(shift)
+        inv = group.inverse(shift)
+        per_copy = [
+            np.block([[np.eye(r.dim), r.matrix(shift)], [r.matrix(inv), np.eye(r.dim)]])
+            for r in reps
+        ]
+        order = [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
+        shape = [n for d in dims for n in (2, d)]
+        B = reduce(np.kron, per_copy).reshape(shape * 2)
+        return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
+    _guard_average(group, D)
+    dtype = np.result_type(np.float64, *(r.stack().dtype for r in reps))
+    parts = np.zeros((3 ** k, D, D), dtype=dtype)
+    for zi, z in enumerate(product((-1, 0, 1), repeat=k)):
+        nz = [j for j in range(k) if z[j]]
+        if len(nz) == k:
+            parts[zi] = _average_product(reps, z)
+            continue
+        key = tuple((labels[j], z[j]) for j in nz)
+        avg = memo.get(key)
+        if avg is None:
+            avg = memo[key] = _average_product([reps[j] for j in nz], [z[j] for j in nz])
+        _pad_identity(parts[zi], dims, z, avg)
+    # cell (x, y) of the block is the part with exponents y - x
+    cells = (_exponent_grid(k) + 1) @ 3 ** np.arange(k - 1, -1, -1)
+    B = parts[cells].transpose(0, 2, 1, 3).reshape(dim, dim)
+    return Block(labels, B, D)
 
 
 def state_block(reps: tuple[Irrep, ...], shift: int | None = None) -> Block:
-    """Diagonal block for one k-tuple of irreps, assembled from power blocks.
+    """Diagonal block for one k-tuple of irreps.
 
     Rows and columns are indexed by (bit tuple, inner tensor index) with the
     bit tuple major; the (x, y) cell holds the power block with exponents
     y - x componentwise. The block's multiplicity equals its inner dimension
     D = prod d_rho.
     """
-    k = len(reps)
-    if k < 1:
-        raise DomainError("at least one irrep is required")
-    D = prod(r.dim for r in reps)
-    dim = (2 ** k) * D
-    if dim > BLOCK_DIM_LIMIT:
-        raise CapacityError(f"block dimension {dim} exceeds {BLOCK_DIM_LIMIT}")
-    parts: dict[tuple[int, ...], np.ndarray] = {}
-    for z in product((-1, 0, 1), repeat=k):
-        parts[z] = power_block(reps, z, shift)
-    dtype = np.result_type(np.float64, *(p.dtype for p in parts.values()))
-    B = np.zeros((dim, dim), dtype=dtype)
-    bits = list(product((0, 1), repeat=k))
-    for xi, x in enumerate(bits):
-        for yi, y in enumerate(bits):
-            z = tuple(b - a for a, b in zip(x, y))
-            B[xi * D : (xi + 1) * D, yi * D : (yi + 1) * D] = parts[z]
-    labels = tuple(r.label for r in reps)
-    return Block(labels, B, D)
+    return _build_block(reps, shift, {})
 
 
 def _guard_block_scan(group: Group, copies: int) -> None:
@@ -284,11 +365,13 @@ def _scan_blocks(group: Group, copies: int, shift: int | None):
 
     The whole-scan guard runs before the first block is built, so a caller
     that stops early refuses the same requests as one that scans them all.
-    Blocks are built one at a time and only the caller decides what to keep.
+    Blocks are built one at a time and only the caller decides what to keep;
+    the averages that recur across tuples are kept until the scan ends.
     """
     _guard_block_scan(group, copies)
+    memo: dict = {}
     for reps in product(irreps(group), repeat=copies):
-        yield reps, state_block(reps, shift)
+        yield reps, _build_block(reps, shift, memo)
 
 
 def block_shift_state(group: Group, copies: int, shift: int | None = None) -> ShiftState:
@@ -386,8 +469,51 @@ def state_spectrum(state: ShiftState) -> SpectrumReport:
     )
 
 
+def _abelian_block_eigenvalues(group: Group, copies: int, shift: int | None) -> np.ndarray:
+    """Eigenvalues of every block of an abelian group's k-copy state, one row per tuple.
+
+    Every irrep is a character, so the (x, y) cell of the block of the
+    frequency tuple (w_1..w_k) is the character chi_v, v = sum_j (y_j - x_j) w_j
+    modulo the moduli, averaged over the group ([v == 0]) or taken at the
+    fixed shift. The tuples are taken RANK_CHUNK_CELLS block cells at a time,
+    with one batched eigvalsh each, so only the eigenvalues, one float per
+    state eigenvalue, are held for the whole scan.
+    """
+    k, N = copies, group.order
+    moduli = np.array(group.moduli, dtype=np.int64)
+    freqs = np.array([r.label for r in irreps(group)], dtype=np.int64)
+    # table[v]: chi_v averaged over the group, or chi_v(shift); v = 0 is trivial
+    if shift is None:
+        table = np.zeros(N)
+        table[0] = 1.0
+    else:
+        phase = (freqs * group.rows[shift] % moduli / moduli).sum(axis=1)
+        table = np.exp(2j * np.pi * phase)
+    z = _exponent_grid(k).reshape(4 ** k, k)
+    out = np.empty((N ** k, 2 ** k))
+    step = max(1, RANK_CHUNK_CELLS // 4 ** k)
+    for start in range(0, N ** k, step):
+        tuples = np.arange(start, min(start + step, N ** k))
+        w = freqs[np.stack(np.unravel_index(tuples, (N,) * k), axis=-1)]
+        v = z @ w % moduli
+        cells = np.ravel_multi_index(tuple(np.moveaxis(v, -1, 0)), group.moduli)
+        out[tuples] = np.linalg.eigvalsh(table[cells].reshape(-1, 2 ** k, 2 ** k))
+    return out
+
+
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
-    """Numeric rank of the k-copy state via its block spectra."""
+    """Numeric rank of the k-copy state via its block spectra.
+
+    Abelian groups take every block from the character formula at once (see
+    _abelian_block_eigenvalues); other groups scan the blocks one by one.
+    """
+    if group.is_abelian:
+        _guard_block_scan(group, copies)
+        if shift is not None:
+            group.check_index(shift)
+        w = _abelian_block_eigenvalues(group, copies, shift)
+        top = max(float(w.max()), -float(w.min()))
+        return 0 if top == 0.0 else int(np.count_nonzero(w > RANK_RTOL * top))
     spectra = [
         (blk.multiplicity, np.linalg.eigvalsh(blk.matrix))
         for _, blk in _scan_blocks(group, copies, shift)

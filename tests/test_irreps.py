@@ -253,11 +253,14 @@ def test_fourier_check_rejects_a_perturbed_matrix(G):
     ft = fourier(G)
     nudged = ft.matrix.copy()
     nudged[G.order // 2, 1] += 1e-6
+    # an imaginary nudge to the real S_n matrix must take the complex product
+    turned = ft.matrix.copy()
+    turned[G.order // 2, 1] += 1e-6j
     swapped = ft.matrix.copy()
     swapped[:, [0, 1]] = swapped[:, [1, 0]]
     # a column swap keeps the matrix unitary; only the translation check sees it
     assert np.max(np.abs(swapped @ swapped.conj().T - np.eye(G.order))) < 1e-12
-    for bad, match in ((nudged, "not unitary"), (swapped, "intertwining")):
+    for bad, match in ((nudged, "not unitary"), (turned, "not unitary"), (swapped, "intertwining")):
         with pytest.raises(ConsistencyError, match=match):
             _validate_fourier(FourierTransform(G, bad, ft.rows, ft.offsets), irreps(G))
 

@@ -1,6 +1,9 @@
 """State constructions: dense vs block forms, spectra, ranks, factorizations."""
 
+import tracemalloc
+from functools import reduce
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from hslab.groups import (
     abelian_group,
     abelian_subgroup_of_abelian,
     abelian_subgroup_of_symmetric,
+    parse_group,
     symmetric_group,
 )
-from hslab.irreps import irreps
+from hslab.irreps import irreps, kron_stack
 from hslab.states import (
     ShiftState,
     averaged_shift_state_dense,
@@ -33,6 +37,7 @@ from hslab.states import (
     subgroup_restriction_check,
     to_block_basis,
 )
+from hslab.subset_sums import subset_sum_rank
 
 
 def test_shift_pair_vector_entries():
@@ -405,3 +410,165 @@ def test_spectrum_rows_contents():
     total = sum(r["eigenvalue"] * r["multiplicity"] for r in rows)
     # unit trace at state scale means the block-scale total is (2|G|)^k
     assert abs(total - 4.0) < 1e-12
+
+
+def _peak_of(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _refused(fn):
+    with pytest.raises(CapacityError):
+        fn()
+
+
+def test_maximally_mixed_block_guard():
+    # S6 k=3 would need 8 * (4 * 720)^3 bytes, about 191 GB, of identity blocks
+    G = symmetric_group(6)
+    _, peak = _peak_of(lambda: _refused(lambda: maximally_mixed_state(G, 3, form="block")))
+    assert peak < 10 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the block build against the power_block assembly it replaced
+
+
+def _oracle_power_block(reps, exponents, shift):
+    """power_block as first written: every factor, identity factors included,
+    stacked over the group and averaged, or a Kronecker chain for a shift."""
+    group = reps[0].group
+    if shift is not None:
+        mats = []
+        for r, e in zip(reps, exponents):
+            if e == 0:
+                mats.append(np.eye(r.dim))
+            elif e == 1:
+                mats.append(r.matrix(shift))
+            else:
+                mats.append(r.matrix(group.inverse(shift)))
+        return reduce(np.kron, mats)
+    inv = group.inverse_vector()
+    cur = None
+    for r, e in zip(reps, exponents):
+        if e == 0:
+            part = np.broadcast_to(np.eye(r.dim), (group.order, r.dim, r.dim))
+        elif e == 1:
+            part = r.stack()
+        else:
+            part = r.stack()[inv]
+        cur = part if cur is None else kron_stack(cur, part)
+    return cur.mean(axis=0)
+
+
+def _oracle_state_block(reps, shift):
+    """state_block as first written: 3^k power blocks copied cell by cell."""
+    k = len(reps)
+    D = prod(r.dim for r in reps)
+    parts = {z: _oracle_power_block(reps, z, shift) for z in product((-1, 0, 1), repeat=k)}
+    dtype = np.result_type(np.float64, *(p.dtype for p in parts.values()))
+    B = np.zeros(((2 ** k) * D, (2 ** k) * D), dtype=dtype)
+    bits = list(product((0, 1), repeat=k))
+    for xi, x in enumerate(bits):
+        for yi, y in enumerate(bits):
+            z = tuple(b - a for a, b in zip(x, y))
+            B[xi * D : (xi + 1) * D, yi * D : (yi + 1) * D] = parts[z]
+    return B
+
+
+def _oracle_scan_rank(G, k, shift=None):
+    """state_rank as first written, on the oracle blocks."""
+    spectra = [
+        (prod(r.dim for r in reps), np.linalg.eigvalsh(_oracle_state_block(reps, shift)))
+        for reps in product(irreps(G), repeat=k)
+    ]
+    top = max(float(np.max(np.abs(w))) for _, w in spectra)
+    return sum(mult * int(np.sum(w > 1e-8 * top)) for mult, w in spectra)
+
+
+ORACLE_CASES = (
+    [(f"S{n}", k) for n in range(1, 6) for k in (1, 2)]
+    + [("S3", 3), ("S4", 3)]
+    + [(name, k) for name in ("Z4", "Z2xZ2", "Z8") for k in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("name,k", ORACLE_CASES, ids=[f"{n}-k{k}" for n, k in ORACLE_CASES])
+def test_block_build_matches_power_block_assembly(name, k):
+    G = parse_group(name)
+    for shift in dict.fromkeys((None, 1 % G.order, G.order - 1)):
+        tuples = list(product(irreps(G), repeat=k))
+        oracle = [_oracle_state_block(reps, shift) for reps in tuples]
+        scanned = block_shift_state(G, k, shift).blocks
+        assert list(scanned) == [tuple(r.label for r in reps) for reps in tuples]
+        for reps, want, got in zip(tuples, oracle, scanned.values()):
+            alone = state_block(reps, shift).matrix
+            for built in (got.matrix, alone):
+                assert built.dtype == want.dtype
+                assert built.tobytes() == want.tobytes()
+        # spectrum_rows prints these values, so they must be the very same floats
+        expected = [
+            {
+                "group": G.descriptor,
+                "k": k,
+                "tuple_label": "|".join(r.name for r in reps),
+                "eigenvalue": value,
+                "multiplicity": mult * prod(r.dim for r in reps),
+            }
+            for reps, want in zip(tuples, oracle)
+            for value, mult in spectrum(want).clusters
+        ]
+        assert spectrum_rows(G, k, shift) == expected
+
+
+@pytest.mark.parametrize("name,k", [("S3", 3), ("S4", 2), ("Z4", 2), ("Z2xZ4", 2)])
+def test_power_block_matches_oracle(name, k):
+    G = parse_group(name)
+    for reps in product(irreps(G), repeat=k):
+        for z in product((-1, 0, 1), repeat=k):
+            for shift in (None, 1, G.order - 1):
+                got = power_block(reps, z, shift)
+                want = _oracle_power_block(reps, z, shift)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+# every abelian group of order at most 16, up to isomorphism
+ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
+    "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6",
+    "Z2xZ8", "Z4xZ4", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2",
+]
+
+
+@pytest.mark.parametrize("name", ABELIAN_TO_16)
+def test_abelian_rank_matches_scan_and_counting(name):
+    G = parse_group(name)
+    for k in (1, 2, 3):
+        rank = state_rank(G, k)
+        assert rank == subset_sum_rank(G, k)
+        # the oracle scan takes seconds beyond 512 tuples (Z16 k=3 has 4096)
+        if G.order ** k <= 512:
+            assert rank == _oracle_scan_rank(G, k)
+        for shift in dict.fromkeys((1 % G.order, G.order - 1)):
+            assert state_rank(G, k, shift) == G.order ** k
+
+
+@pytest.mark.parametrize("name,k", [("S6", 2), ("S6", 3), ("S5", 3), ("S4", 4), ("Z64", 3)])
+def test_state_rank_refusals(name, k):
+    G = parse_group(name)
+    _, peak = _peak_of(lambda: _refused(lambda: state_rank(G, k)))
+    assert peak < 10 * 2 ** 20
+
+
+def test_largest_abelian_four_copy_rank():
+    # Z17 k=4 is refused; Z16 holds 16^4 * 2^4 block eigenvalues (8 MiB)
+    G = parse_group("Z16")
+    rank, peak = _peak_of(lambda: state_rank(G, 4))
+    assert rank == subset_sum_rank(G, 4)
+    assert peak < 16 * 2 ** 20
+    with pytest.raises(CapacityError):
+        state_rank(parse_group("Z17"), 4)
