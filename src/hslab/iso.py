@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, symmetric_group
-from .states import DENSE_DIM_LIMIT, ShiftState
+from .states import ShiftState, _guard_dense
 
 MAX_RIGID_CHECK_N = 8
 MAX_ORACLE_N = 6
@@ -287,12 +287,9 @@ def states_from_oracles(pair: ShiftOraclePair, copies: int = 1) -> ShiftState:
     """
     if copies < 1:
         raise DomainError("copies must be positive")
+    _guard_dense(pair.group, copies)
     N = pair.group.order
     dim = 2 * N
-    if dim ** copies > DENSE_DIM_LIMIT:
-        raise CapacityError(
-            f"dense dimension {dim ** copies} exceeds the limit {DENSE_DIM_LIMIT}"
-        )
     positions: dict[bytes, list[int]] = {}
     for g, y in enumerate(pair.outputs_first):
         positions.setdefault(y, []).append(g)

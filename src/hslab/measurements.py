@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .groups import Group
 from .irreps import Irrep, irreps, plancherel
-from .states import ShiftState, _is_psd
+from .states import ShiftState, _is_psd, _pattern_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -27,23 +27,39 @@ from .states import ShiftState, _is_psd
 
 @dataclass
 class HelstromResult:
-    """Optimal two-outcome measurement for equal-prior state discrimination."""
+    """Optimal two-outcome measurement for equal-prior state discrimination.
 
-    projector_first: np.ndarray
+    Holds the difference rho_first - rho_second; the projectors are derived
+    from it on access, block by block.
+    """
+
+    difference: np.ndarray
     success: float
     trace_norm: float
 
     @property
+    def projector_first(self) -> np.ndarray:
+        """Projector onto the eigenvectors of the difference with eigenvalue above 1e-10."""
+        D = self.difference
+        out = np.zeros(D.shape, dtype=np.result_type(D, 1.0))
+        for index, stack in _pattern_blocks(D):
+            w, V = np.linalg.eigh(stack)
+            Vp = V * (w > 1e-10)[:, None, :]
+            out[index[:, :, None], index[:, None, :]] = Vp @ V.conj().transpose(0, 2, 1)
+        return out
+
+    @property
     def projector_second(self) -> np.ndarray:
         """The complementary effect I - projector_first."""
-        return np.eye(len(self.projector_first)) - self.projector_first
+        e1 = self.projector_first
+        return np.eye(len(e1)) - e1
 
 
 def _check_density(M: np.ndarray, who: str) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"{who} must be a square matrix")
-    if np.max(np.abs(M - M.conj().T)) > 1e-10:
+    if np.max(np.abs(M - (M.T if np.isrealobj(M) else M.conj().T))) > 1e-10:
         raise DomainError(f"{who} must be Hermitian")
     if abs(np.trace(M).real - 1.0) > 1e-8:
         raise DomainError(f"{who} must have unit trace")
@@ -55,22 +71,20 @@ def _check_density(M: np.ndarray, who: str) -> np.ndarray:
 def helstrom(rho_first: np.ndarray, rho_second: np.ndarray) -> HelstromResult:
     """Measure the positive part of the difference of two density matrices.
 
-    The first projector collects eigenvectors of rho_first - rho_second
+    The first projector collects eigenvectors of D = rho_first - rho_second
     with eigenvalue above 1e-10; null directions go to the second outcome.
-    Success probability assumes equal priors.
+    Only the eigenvalues w of D are computed, one connected block of D at a
+    time: the trace norm is sum |w| and the equal-prior success
+    (tr e1 rho_first + tr e2 rho_second) / 2 is (tr rho_second + sum_{w > 1e-10} w) / 2.
     """
     r1 = _check_density(rho_first, "first state")
     r2 = _check_density(rho_second, "second state")
     if r1.shape != r2.shape:
         raise DomainError("states must share one dimension")
-    w, V = np.linalg.eigh(r1 - r2)
-    keep = w > 1e-10
-    Vp = V[:, keep]
-    e1 = Vp @ Vp.conj().T
-    e2 = np.eye(r1.shape[0]) - e1
-    # tr(e @ r) without the product: the row sums of e * r.T are its diagonal
-    success = 0.5 * ((e1 * r1.T).sum(axis=1).sum() + (e2 * r2.T).sum(axis=1).sum()).real
-    return HelstromResult(e1, float(success), float(np.abs(w).sum()))
+    D = r1 - r2
+    w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in _pattern_blocks(D)])
+    success = 0.5 * (np.trace(r2).real + w[w > 1e-10].sum())
+    return HelstromResult(D, float(success), float(np.abs(w).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, SubgroupEmbedding
 from .irreps import Irrep, fourier, irreps, kron_stack, regular_rep
 
-DENSE_DIM_LIMIT = 10_000
+DENSE_BYTES_LIMIT = 2 ** 31
+DENSE_WORKING_MATRICES = 6
 BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
 MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
+BLOCK_OVERHEAD_BYTES = 512
 RANK_CHUNK_CELLS = 2 ** 16
 AVERAGE_STACK_LIMIT = 2 ** 26
 RANK_RTOL = 1e-8
@@ -105,12 +107,58 @@ class ShiftState:
             raise ConsistencyError("block traces do not sum to one")
 
 
+def _pattern_blocks(M: np.ndarray):
+    """Yield (index, stack) for the connected blocks of M, grouped by size.
+
+    The blocks are the connected components of the symmetric nonzero
+    pattern (M != 0) | (M != 0).T, so every nonzero entry of M lies inside
+    one block. index is a (count, size) int array, each row one block's
+    indices in ascending order, and stack is the (count, size, size) array
+    of those blocks, M[index[b]][:, index[b]] for block b. A matrix with
+    one component is one block, given as a view of M.
+    """
+    nz = M != 0
+    adj = nz | nz.T
+    n = len(M)
+    # a row with no nonzero off the diagonal is a block of its own
+    alone = np.count_nonzero(adj, axis=1) == adj.diagonal()
+    label = np.full(n, -1, dtype=np.int64)
+    count = int(alone.sum())
+    label[alone] = np.arange(count)
+    for start in np.flatnonzero(~alone):
+        if label[start] >= 0:
+            continue
+        seen = np.zeros(n, dtype=bool)
+        seen[start] = True
+        frontier = seen.copy()
+        while True:
+            frontier = adj[frontier].any(axis=0) & ~seen
+            if not frontier.any():
+                break
+            seen |= frontier
+        label[seen] = count
+        count += 1
+    if count == 1:
+        yield np.arange(n)[None], M[None]
+        return
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for size in np.unique(sizes):
+        index = order[starts[sizes == size, None] + np.arange(size)]
+        yield index, M[index[:, :, None], index[:, None, :]]
+
+
 def _is_psd(M: np.ndarray, tol: float) -> bool:
-    """No eigenvalue of the Hermitian M is below -tol: M + tol*I has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(M + tol * np.eye(M.shape[0]))
-    except np.linalg.LinAlgError:
-        return False
+    """No eigenvalue of the Hermitian M is below -tol: every connected block
+    of M plus tol*I has a Cholesky factor (one batched factorization per size)."""
+    for _, stack in _pattern_blocks(M):
+        shifted = stack.copy()
+        np.einsum("...ii->...i", shifted)[...] += tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
@@ -128,12 +176,23 @@ def shift_pair_vector(group: Group, s: int, g: int) -> np.ndarray:
     v[N + group.compose(g, s)] = 1.0 / np.sqrt(2.0)
     return v
 
+
+def _dense_bytes(dim: int) -> int:
+    """Estimated peak bytes of building a dense state of dimension dim and
+    running helstrom on it against a second one: DENSE_WORKING_MATRICES
+    float64 dim x dim matrices alive at once (both states, the difference,
+    one block of it and the eigensolver's copy, with one to spare)."""
+    return DENSE_WORKING_MATRICES * 8 * dim * dim
+
+
 def _guard_dense(group: Group, copies: int) -> None:
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    if (2 * group.order) ** copies > DENSE_DIM_LIMIT:
+    need = _dense_bytes((2 * group.order) ** copies)
+    if need > DENSE_BYTES_LIMIT:
         raise CapacityError(
-            f"dense dimension (2*{group.order})^{copies} exceeds {DENSE_DIM_LIMIT}"
+            f"dense dimension (2*{group.order})^{copies} needs about {need / 2 ** 30:.1f} GiB, "
+            f"over the {DENSE_BYTES_LIMIT / 2 ** 30:.0f} GiB budget"
         )
 
 
@@ -166,6 +225,13 @@ def averaged_shift_state_dense(group: Group, copies: int = 1) -> ShiftState:
     return ShiftState(group, copies, "averaged", "dense", dense=acc / group.order)
 
 
+def _mixed_block_bytes(group: Group, copies: int) -> int:
+    """Estimated bytes of the block-form mixed state: the identity blocks hold
+    (2^k D)^2 entries per tuple, 8 (4|G|)^k bytes in all, and each of the
+    len(irreps)^k tuples also costs a Block, its labels and an array header."""
+    return 8 * (4 * group.order) ** copies + BLOCK_OVERHEAD_BYTES * len(irreps(group)) ** copies
+
+
 def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") -> ShiftState:
     """The no-shift k-copy state, identity over (2|G|)^k."""
     if form == "dense":
@@ -176,8 +242,7 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
         )
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    # the identity blocks hold (2^k D)^2 entries per tuple, 8 (4|G|)^k bytes in all
-    if 8 * (4 * group.order) ** copies > MIXED_BLOCK_BYTES_LIMIT:
+    if _mixed_block_bytes(group, copies) > MIXED_BLOCK_BYTES_LIMIT:
         raise CapacityError(
             f"identity blocks of {group.descriptor} with k={copies} exceed the memory budget"
         )

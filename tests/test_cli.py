@@ -134,6 +134,57 @@ def test_helstrom_known_value(cache_dir):
     assert 0.5 <= row["success"] <= 1.0
 
 
+# the whole default CSV stdout of `hslab helstrom`, as the dense solver printed it
+HELSTROM_GOLDEN = [
+    ("--group S3 --k 1", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 1, "shift": null, "shift2": null}',
+        "group,k,first,second,success,trace_norm",
+        "S3,1,averaged,mixed,0.541666666666667,0.166666666666667",
+    ]),
+    ("--group S3 --k 2", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 2, "shift": null, "shift2": null}',
+        "group,k,first,second,success,trace_norm",
+        "S3,2,averaged,mixed,0.628472222222222,0.513888888888889",
+    ]),
+    ("--group S3 --k 3", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 3, "shift": null, "shift2": null}',
+        "group,k,first,second,success,trace_norm",
+        "S3,3,averaged,mixed,0.721354166666667,0.885416666666667",
+    ]),
+    ("--group S3 --k 2 --shift 1 --shift2 2", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 2, "shift": 1, "shift2": 2}',
+        "group,k,first,second,success,trace_norm",
+        "S3,2,shift 1,shift 2,0.907615831185843,1.63046332474337",
+    ]),
+    ("--group S3 --k 2 --shift 0 --shift2 5", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 2, "shift": 0, "shift2": 5}',
+        "group,k,first,second,success,trace_norm",
+        "S3,2,shift 0,shift 5,0.875,1.5",
+    ]),
+    ("--group S3 --k 3 --shift 3 --shift2 4", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S3", "k": 3, "shift": 3, "shift2": 4}',
+        "group,k,first,second,success,trace_norm",
+        "S3,3,shift 3,shift 4,0.958376970268938,1.83350788107575",
+    ]),
+    ("--group Z4 --k 3", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "Z4", "k": 3, "shift": null, "shift2": null}',
+        "group,k,first,second,success,trace_norm",
+        "Z4,3,averaged,mixed,0.7900390625,1.16015625",
+    ]),
+    ("--group S4 --k 2 --shift 5 --shift2 7", [
+        '# hslab 0.1.0 {"command": "helstrom", "group": "S4", "k": 2, "shift": 5, "shift2": 7}',
+        "group,k,first,second,success,trace_norm",
+        "S4,2,shift 5,shift 7,0.915391523121373,1.66156609248549",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,lines", HELSTROM_GOLDEN, ids=[a for a, _ in HELSTROM_GOLDEN])
+def test_helstrom_golden_csv(cache_dir, argv, lines):
+    proc = run_cli("helstrom", *argv.split(), cache_dir=cache_dir)
+    assert proc.stdout == "".join(line + "\n" for line in lines)
+
+
 def test_byte_identical_reruns(cache_dir, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -19,6 +19,8 @@ from hslab.measurements import (
     weighted_variance_sum,
 )
 from hslab.states import (
+    _is_psd,
+    _pattern_blocks,
     averaged_shift_state_dense,
     block_shift_state,
     maximally_mixed_state,
@@ -135,6 +137,99 @@ def test_helstrom_matches_matrix_product_traces():
         assert abs(res.trace_norm - np.abs(np.linalg.eigvalsh(r1 - r2)).sum()) <= 1e-12
         assert np.allclose(e1 + e2, np.eye(len(r1)), atol=1e-12)
         assert np.allclose(e1 @ e1, e1, atol=1e-10)
+
+
+def block_density(sizes, seed, lowest=None):
+    """Seeded random density, block diagonal with blocks of the given sizes
+    under a hidden permutation (drawn from seed 0, so shared by every call
+    with the same sizes). With `lowest`, the first block holds the smallest
+    eigenvalue, equal to `lowest`."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    w = rng.uniform(0.5, 1.5, n)
+    if lowest is None:
+        w /= w.sum()
+    else:
+        w[0] = 0.0
+        w *= (1.0 - lowest) / w.sum()
+        w[0] = lowest
+    M = np.zeros((n, n), dtype=complex)
+    off = 0
+    for size in sizes:
+        Z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        Q, _ = np.linalg.qr(Z)
+        M[off : off + size, off : off + size] = (Q * w[off : off + size]) @ Q.conj().T
+        off += size
+    M = (M + M.conj().T) / 2
+    p = np.random.default_rng(0).permutation(n)
+    return M[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 4), (3, 1, 8, 2, 5)])
+def test_block_positivity_threshold(sizes):
+    n = sum(sizes)
+    mixed = np.eye(n) / n
+    for seed in range(2):
+        bad = block_density(sizes, seed, -2e-8)
+        found = sorted(size for index, _ in _pattern_blocks(bad) for size in [index.shape[1]] * len(index))
+        assert found == sorted(sizes)
+        assert np.linalg.eigvalsh(bad).min() < -1e-8
+        assert not _is_psd(bad, 1e-8)
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            helstrom(bad, mixed)
+        good = block_density(sizes, seed, -5e-9)
+        assert np.linalg.eigvalsh(good).min() > -1e-8
+        assert _is_psd(good, 1e-8)
+        helstrom(good, mixed)
+
+
+def _oracle_helstrom(r1, r2):
+    """helstrom as first written: one eigh of the whole difference, the
+    first projector from its eigenvectors, the success from projector traces."""
+    w, V = np.linalg.eigh(r1 - r2)
+    Vp = V[:, w > 1e-10]
+    e1 = Vp @ Vp.conj().T
+    e2 = np.eye(r1.shape[0]) - e1
+    success = 0.5 * ((e1 * r1.T).sum(axis=1).sum() + (e2 * r2.T).sum(axis=1).sum()).real
+    return e1, float(success), float(np.abs(w).sum())
+
+
+def _differential_cases():
+    S3, Z4 = symmetric_group(3), abelian_group(4)
+    cases = {}
+    for s in range(S3.order):
+        for t in range(s + 1, S3.order):
+            cases[f"S3-k2-shifts-{s}-{t}"] = lambda s=s, t=t: (
+                shift_state_dense(S3, s, 2).dense, shift_state_dense(S3, t, 2).dense
+            )
+    for G, k in ((S3, 2), (Z4, 3), (S3, 3)):
+        cases[f"{G.descriptor}-k{k}-averaged-mixed"] = lambda G=G, k=k: (
+            averaged_shift_state_dense(G, k).dense, maximally_mixed_state(G, k).dense
+        )
+    for s, t in ((1, 2), (0, 1)):
+        cases[f"S3-k3-shifts-{s}-{t}"] = lambda s=s, t=t: (
+            shift_state_dense(S3, s, 3).dense, shift_state_dense(S3, t, 3).dense
+        )
+    for sizes in ((5, 5, 5, 5), (1, 2, 9, 4, 4, 6)):
+        cases[f"hidden-blocks-{'-'.join(map(str, sizes))}"] = lambda sizes=sizes: (
+            block_density(sizes, 1), block_density(sizes, 2)
+        )
+    cases["dense-random"] = lambda: (rotated_density(30, 1e-3, 0), rotated_density(30, 1e-3, 1))
+    return cases
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_CASES))
+def test_helstrom_matches_full_eigh_oracle(name):
+    r1, r2 = DIFFERENTIAL_CASES[name]()
+    e1, success, trace_norm = _oracle_helstrom(r1, r2)
+    res = helstrom(r1, r2)
+    assert np.array_equal(res.difference, r1 - r2)
+    assert abs(res.success - success) <= 1e-12
+    assert abs(res.trace_norm - trace_norm) <= 1e-12
+    assert np.max(np.abs(res.projector_first - e1)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

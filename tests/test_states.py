@@ -17,8 +17,13 @@ from hslab.groups import (
     symmetric_group,
 )
 from hslab.irreps import irreps, kron_stack
+from hslab.measurements import helstrom
 from hslab.states import (
     ShiftState,
+    _dense_bytes,
+    _guard_dense,
+    _mixed_block_bytes,
+    _pattern_blocks,
     averaged_shift_state_dense,
     block_basis_permutation,
     block_shift_state,
@@ -572,3 +577,100 @@ def test_largest_abelian_four_copy_rank():
     assert peak < 16 * 2 ** 20
     with pytest.raises(CapacityError):
         state_rank(parse_group("Z17"), 4)
+
+
+# ---------------------------------------------------------------------------
+# connected blocks of a dense matrix, and the byte estimates of the guards
+
+
+def _pattern_cases():
+    S3 = symmetric_group(3)
+    yield averaged_shift_state_dense(S3, 2).dense
+    yield maximally_mixed_state(S3, 3).dense
+    for s, t in ((1, 2), (0, 1)):
+        yield shift_state_dense(S3, s, 3).dense - shift_state_dense(S3, t, 3).dense
+    # complex blocks of unequal sizes under a hidden permutation
+    rng = np.random.default_rng(11)
+    sizes = (1, 3, 3, 5, 2, 7)
+    M = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    off = 0
+    for n in sizes:
+        M[off : off + n, off : off + n] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        off += n
+    p = rng.permutation(len(M))
+    yield M[np.ix_(p, p)]
+
+
+def test_pattern_blocks_rebuild_the_matrix():
+    for M in _pattern_cases():
+        out = np.zeros_like(M)
+        covered = np.zeros(len(M), dtype=int)
+        for index, stack in _pattern_blocks(M):
+            count, size = index.shape
+            assert stack.shape == (count, size, size)
+            assert np.all(np.diff(index, axis=1) > 0)
+            out[index[:, :, None], index[:, None, :]] = stack
+            covered[index.ravel()] += 1
+        assert np.all(covered == 1)
+        assert out.dtype == M.dtype and out.tobytes() == M.tobytes()
+
+
+def test_pattern_blocks_of_s3_three_copy_states():
+    S3 = symmetric_group(3)
+
+    def shapes(M):
+        return [index.shape for index, _ in _pattern_blocks(M)]
+
+    def pair(s, t):
+        return shift_state_dense(S3, s, 3).dense - shift_state_dense(S3, t, 3).dense
+
+    assert shapes(maximally_mixed_state(S3, 3).dense) == [(1728, 1)]
+    assert shapes(pair(1, 2)) == [(8, 216)]
+    assert shapes(pair(0, 1)) == [(27, 64)]
+    # the averaged state is connected: one block, which is the matrix itself
+    averaged = averaged_shift_state_dense(S3, 3).dense
+    ((index, stack),) = _pattern_blocks(averaged)
+    assert np.array_equal(index[0], np.arange(1728)) and np.shares_memory(stack, averaged)
+
+
+@pytest.mark.parametrize("name", ["Z16", "Z32"])
+def test_mixed_block_estimate_covers_the_peak(name):
+    # each of the |G|^3 tuples costs a Block, labels and an array header
+    # besides its 8 x 8 identity, about 330 bytes measured
+    G = parse_group(name)
+    state, peak = _peak_of(lambda: maximally_mixed_state(G, 3, form="block"))
+    assert len(state.blocks) == G.order ** 3
+    assert peak <= _mixed_block_bytes(G, 3)
+
+
+@pytest.mark.parametrize("name,k", [("S3", 2), ("Z4", 3), ("S3", 3)])
+def test_dense_estimate_covers_the_helstrom_peak(name, k):
+    G = parse_group(name)
+
+    def run():
+        first = averaged_shift_state_dense(G, k).dense
+        second = maximally_mixed_state(G, k).dense
+        return helstrom(first, second)
+
+    _, peak = _peak_of(run)
+    estimate = _dense_bytes((2 * G.order) ** k)
+    assert estimate / 2 < peak <= estimate
+
+
+def test_dense_guard_counts_bytes():
+    # Z4 k=4 (the ROADMAP's dense timing), the largest dense inputs the tests
+    # and the benchmark use (S6 k=1 in the graph oracles), then the largest
+    # orders admitted at k = 2 and k = 3
+    for name, k in [("Z4", 4), ("S4", 2), ("S3", 3), ("S6", 1), ("Z40", 2), ("Z9", 3)]:
+        _guard_dense(parse_group(name), k)
+    # dimensions 10,000, 8,000, 10,000 and 7,776: six 800 MB matrices for Z50 k=2
+    refusals = [("Z50", 2), ("Z10", 3), ("Z5", 4), ("Z3", 5)]
+    for name, k in refusals:
+        G = parse_group(name)
+        for build in (
+            lambda: shift_state_dense(G, 0, k),
+            lambda: averaged_shift_state_dense(G, k),
+            lambda: maximally_mixed_state(G, k),
+        ):
+            _, peak = _peak_of(lambda: _refused(build))
+            assert peak < 2 ** 20
