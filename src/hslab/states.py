@@ -19,21 +19,23 @@ x-tuple major over the j-tuple inside each block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from math import prod
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, SubgroupEmbedding
-from .irreps import Irrep, fourier, irreps, kron_stack, regular_rep
+from .irreps import _STACK_ELEMENT_LIMIT, Irrep, fourier, irreps, kron_stack, regular_rep
 
 DENSE_BYTES_LIMIT = 2 ** 31
 DENSE_WORKING_MATRICES = 6
 BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
+RANK_WORK_LIMIT = 2 ** 32
 MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
 BLOCK_OVERHEAD_BYTES = 512
 RANK_CHUNK_CELLS = 2 ** 16
@@ -351,8 +353,9 @@ def _exponent_grid(k: int) -> np.ndarray:
 
 
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
-    """state_block, reading and filling memo with the averages over fewer than
-    k nonzero factors, which recur across the irrep tuples of one scan."""
+    """state_block, taking the average of every nonzero-exponent pattern from
+    memo when it is there. The averages over fewer than k nonzero factors,
+    which recur across the irrep tuples of one scan, are stored in memo."""
     k = len(reps)
     if k < 1:
         raise DomainError("at least one irrep is required")
@@ -381,18 +384,45 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
     parts = np.zeros((3 ** k, D, D), dtype=dtype)
     for zi, z in enumerate(product((-1, 0, 1), repeat=k)):
         nz = [j for j in range(k) if z[j]]
-        if len(nz) == k:
-            parts[zi] = _average_product(reps, z)
-            continue
         key = tuple((labels[j], z[j]) for j in nz)
         avg = memo.get(key)
         if avg is None:
-            avg = memo[key] = _average_product([reps[j] for j in nz], [z[j] for j in nz])
-        _pad_identity(parts[zi], dims, z, avg)
+            avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
+            if len(nz) < k:
+                memo[key] = avg
+        if len(nz) == k:
+            parts[zi] = avg
+        else:
+            _pad_identity(parts[zi], dims, z, avg)
     # cell (x, y) of the block is the part with exponents y - x
     cells = (_exponent_grid(k) + 1) @ 3 ** np.arange(k - 1, -1, -1)
     B = parts[cells].transpose(0, 2, 1, 3).reshape(dim, dim)
     return Block(labels, B, D)
+
+
+def _schur_pair_averages(reps: tuple[Irrep, ...]) -> dict:
+    """The two-factor averages of every ordered pair of reps, keyed as in the
+    memo of _build_block, or no entry at all when a stack is complex.
+
+    Real orthogonal irreps satisfy Schur orthogonality in the form
+    avg rho_ij(g) sigma_kl(g) = delta_rho,sigma delta_ik delta_jl / d, so the
+    average of rho(g^e) (x) sigma(g^f) is zero for distinct labels,
+    |Phi><Phi|/d with Phi = sum_i |ii> for e = f, and SWAP/d for e = -f.
+    """
+    if any(np.iscomplexobj(r.stack()) for r in reps):
+        return {}
+    memo = {}
+    for a, b in product(reps, repeat=2):
+        n = a.dim * b.dim
+        if a.label != b.label:
+            same = opposite = np.broadcast_to(0.0, (n, n))
+        else:
+            phi = np.eye(a.dim).reshape(n)
+            same = np.outer(phi, phi) / a.dim
+            opposite = np.eye(n).reshape((a.dim,) * 4).transpose(0, 1, 3, 2).reshape(n, n) / a.dim
+        for e, f in product((-1, 1), repeat=2):
+            memo[(a.label, e), (b.label, f)] = same if e == f else opposite
+    return memo
 
 
 def state_block(reps: tuple[Irrep, ...], shift: int | None = None) -> Block:
@@ -566,11 +596,52 @@ def _abelian_block_eigenvalues(group: Group, copies: int, shift: int | None) -> 
     return out
 
 
+def _rank_scan_work(group: Group, copies: int) -> int:
+    """Estimated work of the multiset rank scan of a non-abelian group.
+
+    The sum over irrep multisets of the block eigensolver cost (2^k D)^3,
+    plus the stacked elements of the averages over three or more nonzero
+    factors, |G| D_S^2 for each such pattern S (the two-factor averages
+    come from _schur_pair_averages, the one-factor ones are shared by the
+    scan). With x_j = 2 d_j^2, summing over patterns S with |S| >= 3 and
+    both signs gives prod(1 + x_j) - 1 - e_1(x) - e_2(x).
+    """
+    work = 0
+    dims = [r.dim for r in irreps(group)]
+    for ds in combinations_with_replacement(dims, copies):
+        x = [2 * d * d for d in ds]
+        e1 = sum(x)
+        e2 = (e1 * e1 - sum(v * v for v in x)) // 2
+        work += ((2 ** copies) * prod(ds)) ** 3 + group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
+    return work
+
+
+def _guard_rank_scan(group: Group, copies: int) -> None:
+    """Reject a multiset rank scan (see state_rank) before anything is allocated:
+    a block wider than BLOCK_DIM_LIMIT, an irrep stack over the stack limit,
+    or an estimated work (_rank_scan_work) over RANK_WORK_LIMIT."""
+    if copies < 1:
+        raise DomainError("copies must be a positive integer")
+    top = max(r.dim for r in irreps(group))
+    too_large = (
+        (2 * top) ** copies > BLOCK_DIM_LIMIT
+        or group.order * top * top > _STACK_ELEMENT_LIMIT
+        or _rank_scan_work(group, copies) > RANK_WORK_LIMIT
+    )
+    if too_large:
+        raise CapacityError(
+            f"the rank scan of {group.descriptor} with k={copies} exceeds the work budget"
+        )
+
+
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
     """Numeric rank of the k-copy state via its block spectra.
 
     Abelian groups take every block from the character formula at once (see
-    _abelian_block_eigenvalues); other groups scan the blocks one by one.
+    _abelian_block_eigenvalues). Other groups solve one block per multiset
+    of irreps, the sorted tuple, weighted by its k!/prod(m!) orderings:
+    permuting the copies conjugates a block by a permutation. The averaged
+    state takes its two-factor averages from _schur_pair_averages.
     """
     if group.is_abelian:
         _guard_block_scan(group, copies)
@@ -579,10 +650,14 @@ def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
         w = _abelian_block_eigenvalues(group, copies, shift)
         top = max(float(w.max()), -float(w.min()))
         return 0 if top == 0.0 else int(np.count_nonzero(w > RANK_RTOL * top))
-    spectra = [
-        (blk.multiplicity, np.linalg.eigvalsh(blk.matrix))
-        for _, blk in _scan_blocks(group, copies, shift)
-    ]
+    _guard_rank_scan(group, copies)
+    reps = irreps(group)
+    memo = _schur_pair_averages(reps) if shift is None and copies > 1 else {}
+    spectra = []
+    for combo in combinations_with_replacement(reps, copies):
+        orderings = factorial(copies) // prod(map(factorial, Counter(combo).values()))
+        blk = _build_block(combo, shift, memo)
+        spectra.append((orderings * blk.multiplicity, np.linalg.eigvalsh(blk.matrix)))
     top = max(float(np.max(np.abs(w))) for _, w in spectra)
     if top == 0.0:
         return 0

@@ -252,6 +252,15 @@ def test_exit_code_domain_error(cache_dir):
         assert err["error"]["type"] == "DomainError"
 
 
+def test_rank_s6_two_copies_golden(cache_dir):
+    proc = run_cli("rank", "--group", "S6", "--k", "2", cache_dir=cache_dir)
+    assert proc.stdout == (
+        '# hslab 0.1.0 {"command": "rank", "group": "S6", "k": 2, "shift": null}\n'
+        "group,k,variant,shift,dimension,rank,closed_form,agrees\n"
+        "S6,2,averaged,,2073600,2070001,2070001,true\n"
+    )
+
+
 def test_exit_code_capacity_error(cache_dir):
     for argv in (
         ("rank", "--group", "S6", "--k", "3"),

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import numpy as np
@@ -16,14 +16,20 @@ from hslab.groups import (
     parse_group,
     symmetric_group,
 )
-from hslab.irreps import irreps, kron_stack
+from hslab.irreps import Irrep, irreps, kron_stack
 from hslab.measurements import helstrom
 from hslab.states import (
     ShiftState,
+    _average_product,
+    _build_block,
     _dense_bytes,
+    _guard_block_scan,
     _guard_dense,
     _mixed_block_bytes,
     _pattern_blocks,
+    _rank_scan_work,
+    _scan_blocks,
+    _schur_pair_averages,
     averaged_shift_state_dense,
     block_basis_permutation,
     block_shift_state,
@@ -562,11 +568,18 @@ def test_abelian_rank_matches_scan_and_counting(name):
             assert state_rank(G, k, shift) == G.order ** k
 
 
-@pytest.mark.parametrize("name,k", [("S6", 2), ("S6", 3), ("S5", 3), ("S4", 4), ("Z64", 3)])
+@pytest.mark.parametrize("name,k", [("S6", 3), ("S5", 3), ("S4", 4), ("Z64", 3), ("S7", 2), ("S8", 1)])
 def test_state_rank_refusals(name, k):
     G = parse_group(name)
     _, peak = _peak_of(lambda: _refused(lambda: state_rank(G, k)))
     assert peak < 10 * 2 ** 20
+
+
+def test_two_copy_s6_rank_equals_closed_form():
+    G = parse_group("S6")
+    rank, peak = _peak_of(lambda: state_rank(G, 2))
+    assert rank == rank_closed_form(G, 2) == 2070001
+    assert peak < 64 * 2 ** 20
 
 
 def test_largest_abelian_four_copy_rank():
@@ -674,3 +687,85 @@ def test_dense_guard_counts_bytes():
         ):
             _, peak = _peak_of(lambda: _refused(build))
             assert peak < 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the multiset rank scan against the ordered-tuple scan it replaced
+
+
+def _tuple_scan_rank(G, k, shift):
+    """state_rank as the ordered-tuple scan: every block of _scan_blocks."""
+    spectra = [
+        (blk.multiplicity, np.linalg.eigvalsh(blk.matrix)) for _, blk in _scan_blocks(G, k, shift)
+    ]
+    top = max(float(np.max(np.abs(w))) for _, w in spectra)
+    return sum(mult * int(np.sum(w > 1e-8 * top)) for mult, w in spectra)
+
+
+def _tuple_scan_copies(G):
+    """Every k that the ordered-tuple scan admits."""
+    k = 1
+    while True:
+        try:
+            _guard_block_scan(G, k)
+        except CapacityError:
+            return range(1, k)
+        k += 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_multiset_rank_matches_tuple_scan(n):
+    G = symmetric_group(n)
+    seeded = int(np.random.default_rng(n).integers(G.order))
+    for k in _tuple_scan_copies(G):
+        for shift in dict.fromkeys((None, 1 % G.order, G.order - 1, seeded)):
+            assert state_rank(G, k, shift) == _tuple_scan_rank(G, k, shift), (k, shift)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5"])
+def test_schur_pair_averages_match_stack_means(name):
+    reps = irreps(parse_group(name))
+    by_label = {r.label: r for r in reps}
+    memo = _schur_pair_averages(reps)
+    assert len(memo) == 4 * len(reps) ** 2
+    for key, avg in memo.items():
+        pair = [by_label[label] for label, _ in key]
+        want = _average_product(pair, [e for _, e in key])
+        assert avg.shape == want.shape
+        assert np.max(np.abs(avg - want)) < 1e-12, key
+
+
+def test_complex_stacks_fall_back_to_stack_averages():
+    # S3's irreps conjugated by a complex unitary: still irreps, but
+    # avg rho (x) rho is (U (x) U)|Phi><Phi|(U (x) U)^dagger/d, not |Phi><Phi|/d
+    G = symmetric_group(3)
+    rng = np.random.default_rng(5)
+    reps = []
+    for r in irreps(G):
+        U, _ = np.linalg.qr(rng.standard_normal((r.dim, r.dim)) + 1j * rng.standard_normal((r.dim, r.dim)))
+        rep = Irrep(G, r.label, r.dim)
+        rep._stack = U @ r.stack() @ U.conj().T
+        reps.append(rep)
+    std = reps[1]
+    phi = np.eye(2).reshape(4)
+    assert np.max(np.abs(_average_product([std, std], [1, 1]) - np.outer(phi, phi) / 2)) > 1e-3
+    assert _schur_pair_averages(tuple(reps)) == {}
+    assert _schur_pair_averages(irreps(parse_group("Z4"))) == {}
+    for combo in ((std, std), (reps[0], std), (std, reps[2])):
+        seeded = _build_block(combo, None, _schur_pair_averages(tuple(reps))).matrix
+        assert seeded.tobytes() == _build_block(combo, None, {}).matrix.tobytes()
+
+
+def test_rank_scan_work_counts_every_pattern():
+    # the closed form of _rank_scan_work against the patterns counted one by one
+    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2)]:
+        G = parse_group(name)
+        dims = [r.dim for r in irreps(G)]
+        want = 0
+        for ds in combinations_with_replacement(dims, k):
+            want += ((2 ** k) * prod(ds)) ** 3
+            for z in product((-1, 0, 1), repeat=k):
+                nz = [d for d, e in zip(ds, z) if e]
+                if len(nz) >= 3:
+                    want += G.order * prod(nz) ** 2
+        assert _rank_scan_work(G, k) == want
