@@ -136,14 +136,9 @@ def _emit(args, rows: list[dict], config: dict, extra: dict | None = None) -> No
         write(sys.stdout)
 
 
-def _resolve_cache_dir(args) -> str | None:
-    """The disk cache is used only when --cache-dir or HSLAB_CACHE names it."""
-    return getattr(args, "cache_dir", None) or os.environ.get("HSLAB_CACHE") or None
-
-
 def _load_group(args) -> Group:
     group = parse_group(args.group)
-    irreps(group, cache_dir=_resolve_cache_dir(args))
+    irreps(group, cache_dir=args.cache_dir or None)
     return group
 
 
@@ -342,7 +337,7 @@ def _cmd_iso(args) -> int:
         try:
             first_text = Path(args.first).read_text()
             second_text = Path(args.second).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read graph file: {exc}") from exc
     A = iso_mod.parse_graph_text(first_text)
     B = iso_mod.parse_graph_text(second_text)
@@ -393,7 +388,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _cmd_verify_all(args) -> int:
-    cache = _resolve_cache_dir(args)
+    cache = args.cache_dir or None
 
     for name in ("S3", "S4", "Z2xZ4"):
         group = parse_group(name)

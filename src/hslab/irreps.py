@@ -140,12 +140,10 @@ class Irrep:
         return all(w == 0 for w in self.label)
 
     def matrix(self, a: int) -> np.ndarray:
-        if self._stack is not None:
-            self.group.check_index(a)
-            return self._stack[a]
-        if self.group.order <= _EAGER_STACK_ORDER:
-            return self.stack()[a]
-        return self._single_matrix(a)
+        self.group.check_index(a)
+        if self._stack is None and self.group.order > _EAGER_STACK_ORDER:
+            return self._single_matrix(a)
+        return self.stack()[a]
 
     def stack(self) -> np.ndarray:
         if self._stack is None:
@@ -173,7 +171,6 @@ class Irrep:
         return self._gens, self._gen_indices
 
     def _single_matrix(self, a: int) -> np.ndarray:
-        self.group.check_index(a)
         if self.group.kind == "abelian":
             digits = self.group.digits(a)
             phase = sum(w * d / m for w, d, m in zip(self.label, digits, self.group.moduli))

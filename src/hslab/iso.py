@@ -180,16 +180,22 @@ def parse_graph_text(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower().startswith("colors:"):
-            colors = [int(tok) for tok in line.split(":", 1)[1].split()]
+        is_colors = line.lower().startswith("colors:")
+        try:
+            nums = [int(tok) for tok in (line.split(":", 1)[1] if is_colors else line).split()]
+        except ValueError:
+            raise DomainError(f"expected integers in graph line {line!r}") from None
+        if is_colors:
+            colors = nums
             continue
         if n is None:
-            n = int(line)
+            if len(nums) != 1:
+                raise DomainError(f"expected a vertex count, got {line!r}")
+            n = nums[0]
             continue
-        toks = line.split()
-        if len(toks) != 2:
+        if len(nums) != 2:
             raise DomainError(f"expected an edge line 'u v', got {line!r}")
-        u, v = int(toks[0]), int(toks[1])
+        u, v = nums
         if not (1 <= u and 1 <= v):
             raise DomainError("vertices in graph files are 1-based")
         edges.append((u - 1, v - 1))

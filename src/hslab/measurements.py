@@ -10,7 +10,7 @@ POVM sweeps quantifying that indistinguishability empirically.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -347,19 +347,7 @@ class SweepReport:
     samples: list[SweepSample]
 
     def rows(self) -> list[dict]:
-        return [
-            {
-                "trial": s.trial,
-                "irrep_label": s.irrep_label,
-                "d_rho": s.d_rho,
-                "shift_index": s.shift_index,
-                "tv": s.tv,
-                "l1": s.l1,
-                "povm_outcomes": s.povm_outcomes,
-                "seed": s.seed,
-            }
-            for s in self.samples
-        ]
+        return [asdict(s) for s in self.samples]
 
     def summary(self, thresholds=(1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1)) -> dict:
         tvs = np.array([s.tv for s in self.samples])

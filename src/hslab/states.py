@@ -458,9 +458,8 @@ def _guard_block_scan(group: Group, copies: int) -> None:
 def _scan_blocks(group: Group, copies: int, shift: int | None):
     """Yield (irrep tuple, state block) for every block in canonical tuple order.
 
-    The whole-scan guard runs before the first block is built, so a caller
-    that stops early refuses the same requests as one that scans them all.
-    Blocks are built one at a time and only the caller decides what to keep;
+    The whole-scan guard runs before the first block is built. Blocks are
+    built one at a time and only the caller decides what to keep;
     the averages that recur across tuples are kept until the scan ends.
     """
     _guard_block_scan(group, copies)
@@ -492,6 +491,18 @@ class SpectrumReport:
     min_nonzero: float | None
 
 
+def _report(desc: np.ndarray) -> SpectrumReport:
+    """SpectrumReport of eigenvalues already in descending order."""
+    return SpectrumReport(
+        dim=len(desc),
+        eigenvalues=desc,
+        clusters=tuple(_cluster(desc)),
+        rank=_numeric_rank(desc),
+        max_eigenvalue=float(desc[0]),
+        min_nonzero=_min_nonzero(desc),
+    )
+
+
 def spectrum(M: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a Hermitian matrix in descending order.
 
@@ -509,15 +520,7 @@ def spectrum(M: np.ndarray) -> SpectrumReport:
     recon = (V * w) @ V.conj().T
     if np.max(np.abs(M - recon)) > 1e-9:
         raise ConsistencyError("eigendecomposition failed to reconstruct the input")
-    w = w[::-1]
-    return SpectrumReport(
-        dim=M.shape[0],
-        eigenvalues=w,
-        clusters=tuple(_cluster(w)),
-        rank=_numeric_rank(w),
-        max_eigenvalue=float(w[0]),
-        min_nonzero=_min_nonzero(w),
-    )
+    return _report(w[::-1])
 
 
 def _cluster(desc: np.ndarray) -> list[tuple[float, int]]:
@@ -539,9 +542,9 @@ def _numeric_rank(values: np.ndarray) -> int:
 
 
 def _min_nonzero(desc: np.ndarray) -> float | None:
-    top = np.max(np.abs(desc)) if len(desc) else 0.0
-    keep = desc[desc > RANK_RTOL * top] if top > 0 else desc[:0]
-    return float(keep[-1]) if len(keep) else None
+    """The smallest eigenvalue _numeric_rank keeps; desc is in descending order."""
+    rank = _numeric_rank(desc)
+    return float(desc[rank - 1]) if rank else None
 
 
 def state_spectrum(state: ShiftState) -> SpectrumReport:
@@ -553,47 +556,60 @@ def state_spectrum(state: ShiftState) -> SpectrumReport:
     for blk in state.blocks.values():
         w = np.linalg.eigvalsh(blk.matrix) * scale
         pieces.append(np.tile(w, blk.multiplicity))
-    allw = np.sort(np.concatenate(pieces))[::-1]
-    return SpectrumReport(
-        dim=state.dimension,
-        eigenvalues=allw,
-        clusters=tuple(_cluster(allw)),
-        rank=_numeric_rank(allw),
-        max_eigenvalue=float(allw[0]),
-        min_nonzero=_min_nonzero(allw),
-    )
+    return _report(np.sort(np.concatenate(pieces))[::-1])
 
 
-def _abelian_block_eigenvalues(group: Group, copies: int, shift: int | None) -> np.ndarray:
-    """Eigenvalues of every block of an abelian group's k-copy state, one row per tuple.
+def _multiset_spectra(group: Group, copies: int, shift: int | None):
+    """Yield (sorted irrep tuple, weight, block eigenvalues), one per multiset
+    of k irreps, in combinations_with_replacement order.
 
-    Every irrep is a character, so the (x, y) cell of the block of the
-    frequency tuple (w_1..w_k) is the character chi_v, v = sum_j (y_j - x_j) w_j
-    modulo the moduli, averaged over the group ([v == 0]) or taken at the
-    fixed shift. The tuples are taken RANK_CHUNK_CELLS block cells at a time,
-    with one batched eigvalsh each, so only the eigenvalues, one float per
-    state eigenvalue, are held for the whole scan.
+    Permuting the copies conjugates a block by a permutation, so every
+    ordering of a multiset has the spectrum of the sorted tuple; the weight
+    D k!/prod(m!) counts the D copies of each of its orderings. The caller
+    runs the size guard.
+
+    Abelian groups: every irrep is a character, so the (x, y) cell of the
+    block of frequencies (w_1..w_k) is the character chi_v,
+    v = sum_j (y_j - x_j) w_j modulo the moduli, averaged over the group
+    ([v == 0]) or taken at the fixed shift; RANK_CHUNK_CELLS block cells
+    at a time, with one batched eigvalsh each. Other groups: _build_block
+    with one memo for the scan, started from _schur_pair_averages for the
+    averaged state.
     """
-    k, N = copies, group.order
+    k = copies
+    reps = irreps(group)
+    if shift is not None:
+        group.check_index(shift)
+
+    def weight(combo):
+        orderings = factorial(k) // prod(map(factorial, Counter(combo).values()))
+        return orderings * prod(r.dim for r in combo)
+
+    if not group.is_abelian:
+        memo = _schur_pair_averages(reps) if shift is None and k > 1 else {}
+        for combo in combinations_with_replacement(reps, k):
+            yield combo, weight(combo), np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
+        return
     moduli = np.array(group.moduli, dtype=np.int64)
-    freqs = np.array([r.label for r in irreps(group)], dtype=np.int64)
+    freqs = np.array([r.label for r in reps], dtype=np.int64)
     # table[v]: chi_v averaged over the group, or chi_v(shift); v = 0 is trivial
     if shift is None:
-        table = np.zeros(N)
+        table = np.zeros(group.order)
         table[0] = 1.0
     else:
         phase = (freqs * group.rows[shift] % moduli / moduli).sum(axis=1)
         table = np.exp(2j * np.pi * phase)
+    combos = np.array(list(combinations_with_replacement(range(len(reps)), k)), dtype=np.int64)
     z = _exponent_grid(k).reshape(4 ** k, k)
-    out = np.empty((N ** k, 2 ** k))
     step = max(1, RANK_CHUNK_CELLS // 4 ** k)
-    for start in range(0, N ** k, step):
-        tuples = np.arange(start, min(start + step, N ** k))
-        w = freqs[np.stack(np.unravel_index(tuples, (N,) * k), axis=-1)]
-        v = z @ w % moduli
+    for start in range(0, len(combos), step):
+        chunk = combos[start : start + step]
+        v = z @ freqs[chunk] % moduli
         cells = np.ravel_multi_index(tuple(np.moveaxis(v, -1, 0)), group.moduli)
-        out[tuples] = np.linalg.eigvalsh(table[cells].reshape(-1, 2 ** k, 2 ** k))
-    return out
+        spectra = np.linalg.eigvalsh(table[cells].reshape(-1, 2 ** k, 2 ** k))
+        for row, w in zip(chunk.tolist(), spectra):
+            combo = tuple(reps[i] for i in row)
+            yield combo, weight(combo), w
 
 
 def _rank_scan_work(group: Group, copies: int) -> int:
@@ -635,33 +651,17 @@ def _guard_rank_scan(group: Group, copies: int) -> None:
 
 
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
-    """Numeric rank of the k-copy state via its block spectra.
-
-    Abelian groups take every block from the character formula at once (see
-    _abelian_block_eigenvalues). Other groups solve one block per multiset
-    of irreps, the sorted tuple, weighted by its k!/prod(m!) orderings:
-    permuting the copies conjugates a block by a permutation. The averaged
-    state takes its two-factor averages from _schur_pair_averages.
-    """
+    """Numeric rank of the k-copy state from one block per irrep multiset
+    (see _multiset_spectra), with the cutoff of _numeric_rank."""
     if group.is_abelian:
         _guard_block_scan(group, copies)
-        if shift is not None:
-            group.check_index(shift)
-        w = _abelian_block_eigenvalues(group, copies, shift)
-        top = max(float(w.max()), -float(w.min()))
-        return 0 if top == 0.0 else int(np.count_nonzero(w > RANK_RTOL * top))
-    _guard_rank_scan(group, copies)
-    reps = irreps(group)
-    memo = _schur_pair_averages(reps) if shift is None and copies > 1 else {}
-    spectra = []
-    for combo in combinations_with_replacement(reps, copies):
-        orderings = factorial(copies) // prod(map(factorial, Counter(combo).values()))
-        blk = _build_block(combo, shift, memo)
-        spectra.append((orderings * blk.multiplicity, np.linalg.eigvalsh(blk.matrix)))
+    else:
+        _guard_rank_scan(group, copies)
+    spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies, shift)]
     top = max(float(np.max(np.abs(w))) for _, w in spectra)
     if top == 0.0:
         return 0
-    return sum(mult * int(np.sum(w > RANK_RTOL * top)) for mult, w in spectra)
+    return sum(weight * int(np.count_nonzero(w > RANK_RTOL * top)) for weight, w in spectra)
 
 
 def rank_closed_form(group: Group, copies: int) -> int:
@@ -696,18 +696,20 @@ def interior_eigenvalue_check(
     the inverse dense dimension (equivalently a block eigenvalue in (0, 1)).
 
     Such an eigenvalue shows the support projector differs from the optimal
-    two-outcome discrimination measurement. The first matching block in
-    canonical tuple order supplies the witness.
+    two-outcome discrimination measurement. The first matching irrep
+    multiset (see _multiset_spectra) supplies the witness. It is also the
+    first matching tuple in canonical tuple order: the sorted tuple of a
+    match matches too, and comes no later.
     """
+    _guard_block_scan(group, copies)
     scale = 1.0 / (2 * group.order) ** copies
-    for _, blk in _scan_blocks(group, copies, None):
-        w = np.linalg.eigvalsh(blk.matrix)
+    for combo, _, w in _multiset_spectra(group, copies, None):
         inside = w[(w > margin) & (w < 1.0 - margin)]
         if len(inside):
             return InteriorEigenvalueReport(
                 found=True,
                 witness=float(inside.min()) * scale,
-                labels=blk.labels,
+                labels=tuple(r.label for r in combo),
                 block_eigenvalue=float(inside.min()),
             )
     return InteriorEigenvalueReport(found=False)

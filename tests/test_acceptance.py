@@ -5,7 +5,6 @@ appends a "[PASS] nn ..." / "[FAIL] nn ..." line to the session report
 (replayed in the terminal summary), prints it, and then asserts it.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -539,14 +538,12 @@ def test_13_representation_bedrock(acceptance_report):
 
 def test_14_cli_byte_identical_reruns(acceptance_report, tmp_path):
     t0 = time.perf_counter()
-    env = dict(os.environ, HSLAB_CACHE=str(tmp_path / "cache"))
 
     def run(argv, out):
         proc = subprocess.run(
             [sys.executable, "-m", "hslab.cli", *argv, "--out", str(out)],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()

@@ -17,13 +17,11 @@ RELABELED = "3;1 2;1 3;colors: 1 0 2"  # image of the triangle under 0<->1
 SPARSER = "3;1 2;colors: 0 1 2"
 
 
-def run_cli(*argv, cache_dir, check=True):
-    env = dict(os.environ, HSLAB_CACHE=str(cache_dir))
+def run_cli(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "hslab.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -43,17 +41,17 @@ def read_csv(text):
     return config, rows
 
 
-def test_version_flag(cache_dir):
-    proc = run_cli("--version", cache_dir=cache_dir)
+def test_version_flag():
+    proc = run_cli("--version")
     assert proc.stdout.strip() == "hslab 0.1.0"
     # help still prints usage on stdout and exits 0
-    proc = run_cli("rank", "--help", cache_dir=cache_dir)
+    proc = run_cli("rank", "--help")
     assert proc.stdout.startswith("usage: hslab rank")
     assert proc.stderr == ""
 
 
-def test_spectrum_golden_rows(cache_dir):
-    proc = run_cli("spectrum", "--group", "S3", cache_dir=cache_dir)
+def test_spectrum_golden_rows():
+    proc = run_cli("spectrum", "--group", "S3")
     config, rows = read_csv(proc.stdout)
     assert config["command"] == "spectrum"
     assert config["group"] == "S3"
@@ -66,9 +64,9 @@ def test_spectrum_golden_rows(cache_dir):
     assert total == 12.0
 
 
-def test_rank_json_payload(cache_dir):
+def test_rank_json_payload():
     proc = run_cli(
-        "rank", "--group", "S4", "--format", "json", cache_dir=cache_dir
+        "rank", "--group", "S4", "--format", "json"
     )
     payload = json.loads(proc.stdout)
     assert payload["version"] == "0.1.0"
@@ -80,10 +78,10 @@ def test_rank_json_payload(cache_dir):
     assert row["dimension"] == 48
 
 
-def test_rank_fixed_shift(cache_dir):
+def test_rank_fixed_shift():
     proc = run_cli(
         "rank", "--group", "Z4", "--k", "2", "--shift", "3",
-        "--format", "json", cache_dir=cache_dir,
+        "--format", "json",
     )
     (row,) = json.loads(proc.stdout)["rows"]
     assert row["variant"] == "fixed"
@@ -91,10 +89,9 @@ def test_rank_fixed_shift(cache_dir):
     assert row["closed_form"] == 16
 
 
-def test_subset_sum_exact_fractions(cache_dir):
+def test_subset_sum_exact_fractions():
     proc = run_cli(
         "subset-sum", "--group", "Z4", "--k", "2", "--format", "json",
-        cache_dir=cache_dir,
     )
     (row,) = json.loads(proc.stdout)["rows"]
     assert row["rank"] == 43
@@ -102,15 +99,15 @@ def test_subset_sum_exact_fractions(cache_dir):
     assert row["mean"] == "1"
     assert row["second_moment"] == "7/4"
     assert row["bound"] == "1"
-    proc = run_cli("subset-sum", "--group", "Z4", "--k", "2", cache_dir=cache_dir)
+    proc = run_cli("subset-sum", "--group", "Z4", "--k", "2")
     _, rows = read_csv(proc.stdout)
     assert rows[0]["success"] == "85/128"
     assert rows[0]["success_float"] == "0.6640625"
 
 
-def test_weak_sample_matches_plancherel(cache_dir):
+def test_weak_sample_matches_plancherel():
     proc = run_cli(
-        "weak-sample", "--group", "S3", "--shift", "2", cache_dir=cache_dir
+        "weak-sample", "--group", "S3", "--shift", "2"
     )
     _, rows = read_csv(proc.stdout)
     assert len(rows) == 3
@@ -118,9 +115,9 @@ def test_weak_sample_matches_plancherel(cache_dir):
     assert sum(float(r["probability"]) for r in rows) == pytest.approx(1.0)
 
 
-def test_helstrom_known_value(cache_dir):
+def test_helstrom_known_value():
     proc = run_cli(
-        "helstrom", "--group", "Z2", "--format", "json", cache_dir=cache_dir
+        "helstrom", "--group", "Z2", "--format", "json"
     )
     (row,) = json.loads(proc.stdout)["rows"]
     assert row["success"] == pytest.approx(1 - 3 / 8, abs=1e-12)
@@ -128,7 +125,7 @@ def test_helstrom_known_value(cache_dir):
     assert row["second"] == "mixed"
     proc = run_cli(
         "helstrom", "--group", "Z2", "--shift", "0", "--shift2", "1",
-        "--format", "json", cache_dir=cache_dir,
+        "--format", "json",
     )
     (row,) = json.loads(proc.stdout)["rows"]
     assert 0.5 <= row["success"] <= 1.0
@@ -180,23 +177,23 @@ HELSTROM_GOLDEN = [
 
 
 @pytest.mark.parametrize("argv,lines", HELSTROM_GOLDEN, ids=[a for a, _ in HELSTROM_GOLDEN])
-def test_helstrom_golden_csv(cache_dir, argv, lines):
-    proc = run_cli("helstrom", *argv.split(), cache_dir=cache_dir)
+def test_helstrom_golden_csv(argv, lines):
+    proc = run_cli("helstrom", *argv.split())
     assert proc.stdout == "".join(line + "\n" for line in lines)
 
 
-def test_byte_identical_reruns(cache_dir, tmp_path):
+def test_byte_identical_reruns(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     argv = ["sweep", "--group", "S3", "--trials", "25", "--seed", "5"]
-    run_cli(*argv, "--out", str(out1), cache_dir=cache_dir)
-    run_cli(*argv, "--out", str(out2), cache_dir=cache_dir)
+    run_cli(*argv, "--out", str(out1))
+    run_cli(*argv, "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
     out3 = tmp_path / "c.csv"
     run_cli(
         "sweep", "--group", "S3", "--trials", "25", "--seed", "6",
-        "--out", str(out3), cache_dir=cache_dir,
+        "--out", str(out3),
     )
     assert out1.read_bytes() != out3.read_bytes()
 
@@ -205,15 +202,15 @@ def test_byte_identical_reruns(cache_dir, tmp_path):
     for path in (j1, j2):
         run_cli(
             "variance-bound", "--group", "S3", "--trials", "5", "--seed", "3",
-            "--format", "json", "--out", str(path), cache_dir=cache_dir,
+            "--format", "json", "--out", str(path),
         )
     assert j1.read_bytes() == j2.read_bytes()
 
 
-def test_sweep_summary_in_json(cache_dir):
+def test_sweep_summary_in_json():
     proc = run_cli(
         "sweep", "--group", "Z4", "--trials", "12", "--seed", "1",
-        "--format", "json", cache_dir=cache_dir,
+        "--format", "json",
     )
     payload = json.loads(proc.stdout)
     assert len(payload["rows"]) == 12
@@ -221,19 +218,19 @@ def test_sweep_summary_in_json(cache_dir):
     assert "tv_quantiles_percent" in payload["summary"]
 
 
-def test_exit_code_domain_error(cache_dir):
-    proc = run_cli("rank", "--group", "Q8", cache_dir=cache_dir, check=False)
+def test_exit_code_domain_error():
+    proc = run_cli("rank", "--group", "Q8", check=False)
     assert proc.returncode == 2
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "DomainError"
 
     proc = run_cli(
-        "spectrum", "--group", "S3", "--shift", "99", cache_dir=cache_dir, check=False
+        "spectrum", "--group", "S3", "--shift", "99", check=False
     )
     assert proc.returncode == 2
 
     proc = run_cli(
-        "rank", "--group", "S3", "--k", "0", cache_dir=cache_dir, check=False
+        "rank", "--group", "S3", "--k", "0", check=False
     )
     assert proc.returncode == 2
 
@@ -243,7 +240,7 @@ def test_exit_code_domain_error(cache_dir):
         ("rank", "--group", "S3", "--k", "2", "--threads", "2"),
         ("rank", "--k", "2"),
     ):
-        proc = run_cli(*argv, cache_dir=cache_dir, check=False)
+        proc = run_cli(*argv, check=False)
         assert proc.returncode == 2
         assert proc.stdout == ""
         err = json.loads(proc.stderr)
@@ -252,8 +249,8 @@ def test_exit_code_domain_error(cache_dir):
         assert err["error"]["type"] == "DomainError"
 
 
-def test_rank_s6_two_copies_golden(cache_dir):
-    proc = run_cli("rank", "--group", "S6", "--k", "2", cache_dir=cache_dir)
+def test_rank_s6_two_copies_golden():
+    proc = run_cli("rank", "--group", "S6", "--k", "2")
     assert proc.stdout == (
         '# hslab 0.1.0 {"command": "rank", "group": "S6", "k": 2, "shift": null}\n'
         "group,k,variant,shift,dimension,rank,closed_form,agrees\n"
@@ -261,22 +258,21 @@ def test_rank_s6_two_copies_golden(cache_dir):
     )
 
 
-def test_exit_code_capacity_error(cache_dir):
+def test_exit_code_capacity_error():
     for argv in (
         ("rank", "--group", "S6", "--k", "3"),
         # an 11.6 GB subset-sum table, refused before it is allocated
         ("subset-sum", "--group", "Z232", "--k", "3", "--method", "table"),
     ):
-        proc = run_cli(*argv, cache_dir=cache_dir, check=False)
+        proc = run_cli(*argv, check=False)
         assert proc.returncode == 3
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "CapacityError"
 
 
-def test_iso_inline_isomorphic_pair(cache_dir):
+def test_iso_inline_isomorphic_pair():
     proc = run_cli(
         "iso", "--inline", "--first", TRIANGLE, "--second", RELABELED,
-        cache_dir=cache_dir,
     )
     payload = json.loads(proc.stdout)
     assert payload["isomorphic"] is True
@@ -286,10 +282,9 @@ def test_iso_inline_isomorphic_pair(cache_dir):
     assert payload["state_max_abs_deviation"] <= 1e-12
 
 
-def test_iso_inline_unrelated_pair(cache_dir):
+def test_iso_inline_unrelated_pair():
     proc = run_cli(
         "iso", "--inline", "--first", TRIANGLE, "--second", SPARSER,
-        cache_dir=cache_dir,
     )
     payload = json.loads(proc.stdout)
     assert payload["isomorphic"] is False
@@ -297,19 +292,42 @@ def test_iso_inline_unrelated_pair(cache_dir):
     assert payload["state_reference"] == "mixed"
 
 
-def test_iso_missing_file(cache_dir, tmp_path):
+def test_iso_missing_file(tmp_path):
     proc = run_cli(
         "iso", "--first", str(tmp_path / "absent.txt"),
-        "--second", str(tmp_path / "absent.txt"),
-        cache_dir=cache_dir, check=False,
+        "--second", str(tmp_path / "absent.txt"), check=False,
     )
     assert proc.returncode == 2
 
 
-def test_iso_non_rigid_input(cache_dir):
+@pytest.mark.parametrize(
+    "first, bad_line", [("x;1 2", "x"), ("3;1 a", "1 a"), ("3;colors: r g b", "colors: r g b")]
+)
+def test_iso_non_integer_tokens(first, bad_line):
     proc = run_cli(
-        "iso", "--inline", "--first", "3;1 2;2 3", "--second", "3;1 2;2 3",
-        cache_dir=cache_dir, check=False,
+        "iso", "--inline", "--first", first, "--second", TRIANGLE, check=False,
+    )
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "DomainError"
+    assert repr(bad_line) in error["message"]
+
+
+def test_iso_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("3\n1 2\n# caf\u00e9\n".encode("latin-1"))
+    proc = run_cli(
+        "iso", "--first", str(path), "--second", str(path), check=False,
+    )
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith("cannot read graph file")
+
+
+def test_iso_non_rigid_input():
+    proc = run_cli(
+        "iso", "--inline", "--first", "3;1 2;2 3", "--second", "3;1 2;2 3", check=False,
     )
     assert proc.returncode == 2
     assert "rigid" in json.loads(proc.stderr)["error"]["message"]
@@ -338,15 +356,16 @@ def test_cache_file_is_created(tmp_path):
         env=dict(os.environ, HSLAB_CACHE=str(env_dir)),
     )
     assert proc.returncode == 0
-    assert (env_dir / "S3.irr").is_file()
+    # the environment variable no longer turns the disk cache on
+    assert not env_dir.exists()
 
 
 def test_unwritable_cache_dir_is_skipped(cache_dir, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
     argv = ["weak-sample", "--group", "S3"]
-    good = run_cli(*argv, "--cache-dir", str(cache_dir), cache_dir=cache_dir)
-    proc = run_cli(*argv, "--cache-dir", str(blocker / "sub"), cache_dir=cache_dir)
+    good = run_cli(*argv, "--cache-dir", str(cache_dir))
+    proc = run_cli(*argv, "--cache-dir", str(blocker / "sub"))
     assert proc.stdout == good.stdout
     assert proc.stderr == ""
 
@@ -354,8 +373,7 @@ def test_unwritable_cache_dir_is_skipped(cache_dir, tmp_path):
 def test_corrupt_cache_file_is_rebuilt(tmp_path):
     home = tmp_path / "home"
     home.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "HSLAB_CACHE"}
-    env["HOME"] = str(home)
+    env = dict(os.environ, HOME=str(home))
     argv = [sys.executable, "-m", "hslab.cli", "variance-bound", "--group", "S4", "--seed", "1"]
 
     def run(*extra):
@@ -364,7 +382,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         return proc.stdout
 
     plain = run()
-    # without --cache-dir or HSLAB_CACHE nothing is written
+    # without --cache-dir nothing is written
     assert list(home.rglob("*")) == []
     cache = tmp_path / "cache"
     assert run("--cache-dir", str(cache)) == plain
@@ -387,9 +405,8 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     ],
     ids=["large", "small"],
 )
-def test_closed_stdout_exits_141_quietly(cache_dir, argv, lines_read):
+def test_closed_stdout_exits_141_quietly(argv, lines_read):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["HSLAB_CACHE"] = str(cache_dir)
     proc = subprocess.Popen(
         [sys.executable, "-m", "hslab.cli", *argv],
         stdout=subprocess.PIPE,
@@ -404,8 +421,8 @@ def test_closed_stdout_exits_141_quietly(cache_dir, argv, lines_read):
     assert stderr == ""
 
 
-def test_verify_all_battery(cache_dir):
-    proc = run_cli("verify-all", cache_dir=cache_dir)
+def test_verify_all_battery():
+    proc = run_cli("verify-all")
     lines = proc.stdout.splitlines()
     assert lines[-1] == "all checks passed"
     assert sum(1 for ln in lines if ln.startswith("ok: ")) >= 20

@@ -139,6 +139,19 @@ def test_stacks_match_queue_bfs(n):
         assert built.tolist() == [[[1.0]]]
 
 
+@pytest.mark.parametrize("G", [symmetric_group(3), abelian_group((4,))], ids=["S3", "Z4"])
+def test_matrix_index_checked_before_and_after_stack(G):
+    rep = irreps(G)[-1]
+    fresh = Irrep(G, rep.label, rep.dim)
+    for built in (False, True):
+        if built:
+            fresh.stack()
+        for bad in (-1, G.order):
+            with pytest.raises(DomainError):
+                fresh.matrix(bad)
+        assert np.array_equal(fresh.matrix(G.order - 1), rep.stack()[G.order - 1])
+
+
 def test_symmetric_matrices_real_orthogonal():
     for rep in irreps(symmetric_group(5)):
         stack = rep.stack()

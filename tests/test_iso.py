@@ -149,6 +149,15 @@ def test_parse_graph_text_features():
         parse_graph_text("3\n0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [("x\n1 2", "x"), ("3\n1 a", "1 a"), ("3\ncolors: r g b", "colors: r g b"), ("3 4\n1 2", "3 4")],
+)
+def test_parse_graph_text_names_the_bad_line(text, bad_line):
+    with pytest.raises(DomainError, match=repr(bad_line)):
+        parse_graph_text(text)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

@@ -25,7 +25,9 @@ from hslab.states import (
     _dense_bytes,
     _guard_block_scan,
     _guard_dense,
+    _guard_rank_scan,
     _mixed_block_bytes,
+    _multiset_spectra,
     _pattern_blocks,
     _rank_scan_work,
     _scan_blocks,
@@ -702,12 +704,12 @@ def _tuple_scan_rank(G, k, shift):
     return sum(mult * int(np.sum(w > 1e-8 * top)) for mult, w in spectra)
 
 
-def _tuple_scan_copies(G):
-    """Every k that the ordered-tuple scan admits."""
+def _tuple_scan_copies(G, guard=_guard_block_scan):
+    """Every k that the guard admits, by default that of the ordered-tuple scan."""
     k = 1
     while True:
         try:
-            _guard_block_scan(G, k)
+            guard(G, k)
         except CapacityError:
             return range(1, k)
         k += 1
@@ -769,3 +771,51 @@ def test_rank_scan_work_counts_every_pattern():
                 if len(nz) >= 3:
                     want += G.order * prod(nz) ** 2
         assert _rank_scan_work(G, k) == want
+
+
+# ---------------------------------------------------------------------------
+# the multiset spectra against the ordered-tuple interior scan they replaced
+
+
+def _tuple_scan_interior(G, k, margin=1e-8):
+    """interior_eigenvalue_check as the ordered-tuple scan: the first block of
+    _scan_blocks with an eigenvalue in (margin, 1 - margin)."""
+    for _, blk in _scan_blocks(G, k, None):
+        w = np.linalg.eigvalsh(blk.matrix)
+        inside = w[(w > margin) & (w < 1.0 - margin)]
+        if len(inside):
+            return blk.labels, float(inside.min())
+    return None, None
+
+
+@pytest.mark.parametrize("name", [f"S{n}" for n in range(1, 6)] + ABELIAN_TO_16)
+def test_interior_check_matches_tuple_scan(name):
+    G = parse_group(name)
+    for k in _tuple_scan_copies(G)[:3]:
+        labels, value = _tuple_scan_interior(G, k)
+        report = interior_eigenvalue_check(G, k)
+        assert report.found == (labels is not None), k
+        assert report.labels == labels, k
+        if report.found:
+            assert abs(report.block_eigenvalue - value) < 1e-12
+            assert abs(report.witness - value / (2 * G.order) ** k) < 1e-12
+
+
+# S1-S6, Z2-Z16 and every product of order at most 16
+WEIGHT_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 17)] + ABELIAN_TO_16[16:]
+
+
+@pytest.mark.parametrize("name", WEIGHT_GROUPS)
+def test_multiset_weights_count_every_dimension(name):
+    # the weights D k!/prod(m!) times the block sizes 2^k D fill (2|G|)^k,
+    # for every k that state_rank's guard admits
+    G = parse_group(name)
+    guard = _guard_block_scan if G.is_abelian else _guard_rank_scan
+    for k in _tuple_scan_copies(G, guard):
+        for shift in (None, 1 % G.order):
+            spectra = list(_multiset_spectra(G, k, shift))
+            assert [combo for combo, _, _ in spectra] == list(
+                combinations_with_replacement(irreps(G), k)
+            )
+            total = sum(weight * len(w) for _, weight, w in spectra)
+            assert total == (2 * G.order) ** k, (k, shift)
