@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -35,7 +35,10 @@ DENSE_BYTES_LIMIT = 2 ** 31
 DENSE_WORKING_MATRICES = 6
 BLOCK_DIM_LIMIT = 4096
 BLOCK_WORK_LIMIT = 2 ** 28
-RANK_WORK_LIMIT = 2 ** 32
+MULTISET_WORK_LIMIT = 2 ** 32
+PATTERN_STEP_WORK = 2 ** 17
+MULTISET_WORK = 2 ** 16
+GRID_ENTRY_WORK = 2 ** 7
 MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
 BLOCK_OVERHEAD_BYTES = 512
 RANK_CHUNK_CELLS = 2 ** 16
@@ -190,12 +193,19 @@ def _dense_bytes(dim: int) -> int:
 def _guard_dense(group: Group, copies: int) -> None:
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    need = _dense_bytes((2 * group.order) ** copies)
-    if need > DENSE_BYTES_LIMIT:
-        raise CapacityError(
-            f"dense dimension (2*{group.order})^{copies} needs about {need / 2 ** 30:.1f} GiB, "
-            f"over the {DENSE_BYTES_LIMIT / 2 ** 30:.0f} GiB budget"
-        )
+    # the dimension is at least 2^k: compare k with a bit length before the
+    # power, which also keeps the GiB figure below a float's range
+    if 2 * copies >= DENSE_BYTES_LIMIT.bit_length():
+        size = f"at least 4^{copies} bytes"
+    else:
+        need = _dense_bytes((2 * group.order) ** copies)
+        if need <= DENSE_BYTES_LIMIT:
+            return
+        size = f"about {need / 2 ** 30:.1f} GiB"
+    raise CapacityError(
+        f"dense dimension (2*{group.order})^{copies} needs {size}, "
+        f"over the {DENSE_BYTES_LIMIT / 2 ** 30:.0f} GiB budget"
+    )
 
 
 def _single_copy_dense(group: Group, s: int) -> np.ndarray:
@@ -244,7 +254,12 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
         )
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    if _mixed_block_bytes(group, copies) > MIXED_BLOCK_BYTES_LIMIT:
+    # the identity blocks take 8 4^k bytes or more: compare k with a bit length first
+    too_large = (
+        2 * copies + 3 >= MIXED_BLOCK_BYTES_LIMIT.bit_length()
+        or _mixed_block_bytes(group, copies) > MIXED_BLOCK_BYTES_LIMIT
+    )
+    if too_large:
         raise CapacityError(
             f"identity blocks of {group.descriptor} with k={copies} exceed the memory budget"
         )
@@ -293,23 +308,32 @@ def _average_product(reps, exponents) -> np.ndarray:
     return cur.mean(axis=0)
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_PAD_SUBSCRIPTS: dict[tuple[int, ...], str] = {}
+
+
 def _pad_identity(out: np.ndarray, dims: list[int], exponents, avg: np.ndarray) -> None:
     """Write avg, the average over the factors with a nonzero exponent, into the
     zeroed D x D matrix out as the full product with identity factors where
     the exponent is zero.
 
     Only the diagonal of the identity factors is written, so every other
-    entry stays +0.0 whatever the sign of avg.
+    entry stays +0.0 whatever the sign of avg. The einsum subscript that
+    selects that diagonal is built once per exponent tuple.
     """
-    k = len(dims)
-    nz = [j for j, e in enumerate(exponents) if e]
-    zero = [j for j, e in enumerate(exponents) if not e]
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    rows = letters[:k]
-    cols = "".join(letters[k + j] if e else rows[j] for j, e in enumerate(exponents))
-    kept = "".join([rows[j] for j in nz] + [cols[j] for j in nz] + [rows[j] for j in zero])
-    diagonal = np.einsum(f"{rows}{cols}->{kept}", out.reshape(dims * 2))
-    diagonal[...] = avg.reshape([dims[j] for j in nz] * 2 + [1] * len(zero))
+    exponents = tuple(exponents)
+    subscript = _PAD_SUBSCRIPTS.get(exponents)
+    if subscript is None:
+        k = len(exponents)
+        nz = [j for j, e in enumerate(exponents) if e]
+        zero = [j for j, e in enumerate(exponents) if not e]
+        rows = _LETTERS[:k]
+        cols = "".join(_LETTERS[k + j] if e else rows[j] for j, e in enumerate(exponents))
+        kept = "".join([rows[j] for j in nz] + [cols[j] for j in nz] + [rows[j] for j in zero])
+        subscript = _PAD_SUBSCRIPTS[exponents] = f"{rows}{cols}->{kept}"
+    diagonal = np.einsum(subscript, out.reshape(dims * 2))
+    nz_dims = [d for d, e in zip(dims, exponents) if e]
+    diagonal[...] = avg.reshape(nz_dims * 2 + [1] * (len(dims) - len(nz_dims)))
 
 
 def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int | None = None) -> np.ndarray:
@@ -400,6 +424,17 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
     return Block(labels, B, D)
 
 
+def _one_factor_averages(reps: tuple[Irrep, ...]) -> dict:
+    """The one-factor averages of every rep, keyed as in the memo of
+    _build_block: avg rho(g^e) is [[1]] for the trivial irrep and, by Schur
+    orthogonality against it, zero for every other."""
+    return {
+        ((r.label, e),): np.eye(1) if r.is_trivial else np.broadcast_to(0.0, (r.dim, r.dim))
+        for r in reps
+        for e in (-1, 1)
+    }
+
+
 def _schur_pair_averages(reps: tuple[Irrep, ...]) -> dict:
     """The two-factor averages of every ordered pair of reps, keyed as in the
     memo of _build_block, or no entry at all when a stack is complex.
@@ -445,10 +480,12 @@ def _guard_block_scan(group: Group, copies: int) -> None:
     """
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    stack_work = (3 ** copies) * group.order ** (copies + 1)
-    cubes = sum(r.dim ** 3 for r in irreps(group))
-    eigh_work = (8 ** copies) * cubes ** copies
-    if max(stack_work, eigh_work) > BLOCK_WORK_LIMIT:
+    # the eigensolver work is at least 8^k: compare k with a bit length before any power
+    too_large = 3 * copies >= BLOCK_WORK_LIMIT.bit_length() or max(
+        (3 ** copies) * group.order ** (copies + 1),
+        (8 ** copies) * sum(r.dim ** 3 for r in irreps(group)) ** copies,
+    ) > BLOCK_WORK_LIMIT
+    if too_large:
         raise CapacityError(
             f"scanning all blocks of {group.descriptor} with k={copies} "
             "exceeds the work budget"
@@ -559,23 +596,62 @@ def state_spectrum(state: ShiftState) -> SpectrumReport:
     return _report(np.sort(np.concatenate(pieces))[::-1])
 
 
+def _guard_multiset_scan(group: Group, copies: int) -> int:
+    """The estimated work of the _multiset_spectra scan, in units of one n^3
+    of an n x n eigensolve; CapacityError above MULTISET_WORK_LIMIT. A widest
+    block over BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
+
+    Each irrep multiset costs its eigensolve (2^k D)^3, MULTISET_WORK and
+    GRID_ENTRY_WORK per entry of the k 4^k exponent grid. A block that
+    _build_block assembles (not abelian) adds PATTERN_STEP_WORK per pattern
+    and |G| D_S^2 per average over three or more nonzero factors S, in all
+    prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The sum runs over
+    multisets of dimensions, each standing for prod_d C(n_d + m_d - 1, m_d)
+    irrep multisets (n_d irreps have dimension d, and m_d copies pick it).
+    """
+    if copies < 1:
+        raise DomainError("copies must be a positive integer")
+    counts = Counter(r.dim for r in irreps(group))
+
+    def price(ds):
+        each = ((2 ** copies) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
+        if not group.is_abelian:
+            x = [2 * d * d for d in ds]
+            e1 = sum(x)
+            e2 = (e1 * e1 - sum(v * v for v in x)) // 2
+            each += PATTERN_STEP_WORK * 3 ** copies + group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
+        return prod(comb(counts[d] + m - 1, m) for d, m in Counter(ds).items()) * each
+
+    too_large = (
+        copies * ((2 * max(counts)).bit_length() - 1) >= BLOCK_DIM_LIMIT.bit_length()
+        or group.order * max(counts) ** 2 > _STACK_ELEMENT_LIMIT
+        or (work := sum(map(price, combinations_with_replacement(sorted(counts), copies))))
+        > MULTISET_WORK_LIMIT
+    )
+    if too_large:
+        raise CapacityError(
+            f"the multiset scan of {group.descriptor} with k={copies} exceeds the work budget"
+        )
+    return work
+
+
 def _multiset_spectra(group: Group, copies: int, shift: int | None):
     """Yield (sorted irrep tuple, weight, block eigenvalues), one per multiset
     of k irreps, in combinations_with_replacement order.
 
     Permuting the copies conjugates a block by a permutation, so every
     ordering of a multiset has the spectrum of the sorted tuple; the weight
-    D k!/prod(m!) counts the D copies of each of its orderings. The caller
-    runs the size guard.
+    D k!/prod(m!) counts the D copies of each of its orderings.
 
     Abelian groups: every irrep is a character, so the (x, y) cell of the
     block of frequencies (w_1..w_k) is the character chi_v,
     v = sum_j (y_j - x_j) w_j modulo the moduli, averaged over the group
     ([v == 0]) or taken at the fixed shift; RANK_CHUNK_CELLS block cells
     at a time, with one batched eigvalsh each. Other groups: _build_block
-    with one memo for the scan, started from _schur_pair_averages for the
-    averaged state.
+    with one memo for the scan, started from _one_factor_averages and
+    _schur_pair_averages for the averaged state.
     """
+    _guard_multiset_scan(group, copies)
     k = copies
     reps = irreps(group)
     if shift is not None:
@@ -586,7 +662,11 @@ def _multiset_spectra(group: Group, copies: int, shift: int | None):
         return orderings * prod(r.dim for r in combo)
 
     if not group.is_abelian:
-        memo = _schur_pair_averages(reps) if shift is None and k > 1 else {}
+        memo = {}
+        if shift is None:
+            memo = _one_factor_averages(reps)
+            if k > 1:
+                memo.update(_schur_pair_averages(reps))
         for combo in combinations_with_replacement(reps, k):
             yield combo, weight(combo), np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
         return
@@ -612,51 +692,9 @@ def _multiset_spectra(group: Group, copies: int, shift: int | None):
             yield combo, weight(combo), w
 
 
-def _rank_scan_work(group: Group, copies: int) -> int:
-    """Estimated work of the multiset rank scan of a non-abelian group.
-
-    The sum over irrep multisets of the block eigensolver cost (2^k D)^3,
-    plus the stacked elements of the averages over three or more nonzero
-    factors, |G| D_S^2 for each such pattern S (the two-factor averages
-    come from _schur_pair_averages, the one-factor ones are shared by the
-    scan). With x_j = 2 d_j^2, summing over patterns S with |S| >= 3 and
-    both signs gives prod(1 + x_j) - 1 - e_1(x) - e_2(x).
-    """
-    work = 0
-    dims = [r.dim for r in irreps(group)]
-    for ds in combinations_with_replacement(dims, copies):
-        x = [2 * d * d for d in ds]
-        e1 = sum(x)
-        e2 = (e1 * e1 - sum(v * v for v in x)) // 2
-        work += ((2 ** copies) * prod(ds)) ** 3 + group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
-    return work
-
-
-def _guard_rank_scan(group: Group, copies: int) -> None:
-    """Reject a multiset rank scan (see state_rank) before anything is allocated:
-    a block wider than BLOCK_DIM_LIMIT, an irrep stack over the stack limit,
-    or an estimated work (_rank_scan_work) over RANK_WORK_LIMIT."""
-    if copies < 1:
-        raise DomainError("copies must be a positive integer")
-    top = max(r.dim for r in irreps(group))
-    too_large = (
-        (2 * top) ** copies > BLOCK_DIM_LIMIT
-        or group.order * top * top > _STACK_ELEMENT_LIMIT
-        or _rank_scan_work(group, copies) > RANK_WORK_LIMIT
-    )
-    if too_large:
-        raise CapacityError(
-            f"the rank scan of {group.descriptor} with k={copies} exceeds the work budget"
-        )
-
-
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
     """Numeric rank of the k-copy state from one block per irrep multiset
     (see _multiset_spectra), with the cutoff of _numeric_rank."""
-    if group.is_abelian:
-        _guard_block_scan(group, copies)
-    else:
-        _guard_rank_scan(group, copies)
     spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies, shift)]
     top = max(float(np.max(np.abs(w))) for _, w in spectra)
     if top == 0.0:
@@ -701,7 +739,6 @@ def interior_eigenvalue_check(
     first matching tuple in canonical tuple order: the sorted tuple of a
     match matches too, and comes no later.
     """
-    _guard_block_scan(group, copies)
     scale = 1.0 / (2 * group.order) ** copies
     for combo, _, w in _multiset_spectra(group, copies, None):
         inside = w[(w > margin) & (w < 1.0 - margin)]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -258,16 +259,41 @@ def test_rank_s6_two_copies_golden():
     )
 
 
+def _assert_capacity_error(proc):
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"]["type"] == "CapacityError"
+
+
 def test_exit_code_capacity_error():
     for argv in (
         ("rank", "--group", "S6", "--k", "3"),
         # an 11.6 GB subset-sum table, refused before it is allocated
         ("subset-sum", "--group", "Z232", "--k", "3", "--method", "table"),
+        # refusals whose messages hold numbers beyond a float or 4300 digits
+        ("helstrom", "--group", "S8", "--k", "60"),
+        ("helstrom", "--group", "Z1", "--k", "600"),
+        ("subset-sum", "--group", "Z2", "--k", "20000"),
+        ("subset-sum", "--group", "Z2", "--k", "20000", "--method", "table"),
+        ("subset-sum", "--group", "Z1", "--k", "100000"),
     ):
+        _assert_capacity_error(run_cli(*argv, check=False))
+
+
+def test_absurd_copy_counts_are_refused_quickly():
+    # each guard compares k with a bit length before computing a power of k,
+    # and the moment recursion is priced by the width of its integers
+    for argv in (
+        ("rank", "--group", "Z1", "--k", "1000000000"),
+        ("rank", "--group", "S1", "--k", "1000000000"),
+        ("spectrum", "--group", "S2", "--k", "1000000000"),
+        ("subset-sum", "--group", "Z1", "--k", "1000000"),
+        ("subset-sum", "--group", "Z3", "--k", "100000"),
+    ):
+        start = time.perf_counter()
         proc = run_cli(*argv, check=False)
-        assert proc.returncode == 3
-        err = json.loads(proc.stderr)
-        assert err["error"]["type"] == "CapacityError"
+        assert time.perf_counter() - start < 2.0, argv
+        _assert_capacity_error(proc)
 
 
 def test_iso_inline_isomorphic_pair():

@@ -19,17 +19,20 @@ from hslab.groups import (
 from hslab.irreps import Irrep, irreps, kron_stack
 from hslab.measurements import helstrom
 from hslab.states import (
+    GRID_ENTRY_WORK,
+    MULTISET_WORK,
+    PATTERN_STEP_WORK,
     ShiftState,
     _average_product,
     _build_block,
     _dense_bytes,
     _guard_block_scan,
     _guard_dense,
-    _guard_rank_scan,
+    _guard_multiset_scan,
     _mixed_block_bytes,
     _multiset_spectra,
+    _one_factor_averages,
     _pattern_blocks,
-    _rank_scan_work,
     _scan_blocks,
     _schur_pair_averages,
     averaged_shift_state_dense,
@@ -408,7 +411,7 @@ def test_capacity_guards():
     with pytest.raises(CapacityError):
         spectrum_rows(symmetric_group(6), 2)
     with pytest.raises(CapacityError):
-        interior_eigenvalue_check(symmetric_group(6), 2)
+        interior_eigenvalue_check(symmetric_group(6), 3)
     big = [r for r in irreps(symmetric_group(6)) if r.dim == 16]
     with pytest.raises(CapacityError):
         power_block((big[0], big[0], big[0]), (1, 1, 1), None)
@@ -570,11 +573,34 @@ def test_abelian_rank_matches_scan_and_counting(name):
             assert state_rank(G, k, shift) == G.order ** k
 
 
-@pytest.mark.parametrize("name,k", [("S6", 3), ("S5", 3), ("S4", 4), ("Z64", 3), ("S7", 2), ("S8", 1)])
+@pytest.mark.parametrize(
+    "name,k", [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 12), ("Z4096", 2)]
+)
 def test_state_rank_refusals(name, k):
     G = parse_group(name)
     _, peak = _peak_of(lambda: _refused(lambda: state_rank(G, k)))
     assert peak < 10 * 2 ** 20
+
+
+def test_largest_abelian_three_copy_rank():
+    # Z64 k=3 was refused by the ordered-tuple guard; the multiset estimate
+    # admits it and refuses Z65
+    G = parse_group("Z64")
+    rank, peak = _peak_of(lambda: state_rank(G, 3))
+    assert rank == subset_sum_rank(G, 3)
+    assert peak < 32 * 2 ** 20
+    with pytest.raises(CapacityError):
+        state_rank(parse_group("Z65"), 3)
+
+
+def test_two_copy_s6_interior_witness():
+    # refused by the ordered-tuple guard; the first witness is the block
+    # eigenvalue 1 - 1/5 of the pair of five-dimensional irreps
+    report, peak = _peak_of(lambda: interior_eigenvalue_check(parse_group("S6"), 2))
+    assert report.found and report.labels == ((5, 1), (5, 1))
+    assert abs(report.block_eigenvalue - 0.8) < 1e-12
+    assert abs(report.witness - 0.8 / 1440 ** 2) < 1e-12
+    assert peak < 16 * 2 ** 20
 
 
 def test_two_copy_s6_rank_equals_closed_form():
@@ -585,13 +611,15 @@ def test_two_copy_s6_rank_equals_closed_form():
 
 
 def test_largest_abelian_four_copy_rank():
-    # Z17 k=4 is refused; Z16 holds 16^4 * 2^4 block eigenvalues (8 MiB)
-    G = parse_group("Z16")
+    # Z17 k=4 was refused by the ordered-tuple guard; the multiset estimate
+    # admits up to Z25 and refuses Z26
+    G = parse_group("Z17")
     rank, peak = _peak_of(lambda: state_rank(G, 4))
     assert rank == subset_sum_rank(G, 4)
     assert peak < 16 * 2 ** 20
+    _guard_multiset_scan(parse_group("Z25"), 4)
     with pytest.raises(CapacityError):
-        state_rank(parse_group("Z17"), 4)
+        state_rank(parse_group("Z26"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +758,9 @@ def test_schur_pair_averages_match_stack_means(name):
     by_label = {r.label: r for r in reps}
     memo = _schur_pair_averages(reps)
     assert len(memo) == 4 * len(reps) ** 2
-    for key, avg in memo.items():
+    ones = _one_factor_averages(reps)
+    assert len(ones) == 2 * len(reps)
+    for key, avg in {**memo, **ones}.items():
         pair = [by_label[label] for label, _ in key]
         want = _average_product(pair, [e for _, e in key])
         assert avg.shape == want.shape
@@ -758,19 +788,23 @@ def test_complex_stacks_fall_back_to_stack_averages():
         assert seeded.tobytes() == _build_block(combo, None, {}).matrix.tobytes()
 
 
-def test_rank_scan_work_counts_every_pattern():
-    # the closed form of _rank_scan_work against the patterns counted one by one
-    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2)]:
+def test_multiset_scan_work_counts_every_pattern():
+    # the estimate of _guard_multiset_scan against every irrep multiset and
+    # every pattern counted one by one
+    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2), ("Z4", 3)]:
         G = parse_group(name)
-        dims = [r.dim for r in irreps(G)]
         want = 0
-        for ds in combinations_with_replacement(dims, k):
-            want += ((2 ** k) * prod(ds)) ** 3
+        for combo in combinations_with_replacement(irreps(G), k):
+            ds = [r.dim for r in combo]
+            want += ((2 ** k) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * k * 4 ** k
+            if G.is_abelian:
+                continue
             for z in product((-1, 0, 1), repeat=k):
+                want += PATTERN_STEP_WORK
                 nz = [d for d, e in zip(ds, z) if e]
                 if len(nz) >= 3:
                     want += G.order * prod(nz) ** 2
-        assert _rank_scan_work(G, k) == want
+        assert _guard_multiset_scan(G, k) == want
 
 
 # ---------------------------------------------------------------------------
@@ -808,10 +842,9 @@ WEIGHT_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 17)]
 @pytest.mark.parametrize("name", WEIGHT_GROUPS)
 def test_multiset_weights_count_every_dimension(name):
     # the weights D k!/prod(m!) times the block sizes 2^k D fill (2|G|)^k,
-    # for every k that state_rank's guard admits
+    # for every k that the scan's own guard admits
     G = parse_group(name)
-    guard = _guard_block_scan if G.is_abelian else _guard_rank_scan
-    for k in _tuple_scan_copies(G, guard):
+    for k in _tuple_scan_copies(G, _guard_multiset_scan):
         for shift in (None, 1 % G.order):
             spectra = list(_multiset_spectra(G, k, shift))
             assert [combo for combo, _, _ in spectra] == list(
