@@ -41,6 +41,7 @@ from .states import (
     dense_from_blocks,
     interior_eigenvalue_check,
     maximally_mixed_state,
+    one_copy_state,
     power_block,
     rank_closed_form,
     shift_state_dense,

@@ -51,6 +51,7 @@ from .states import (
     dense_from_blocks,
     interior_eigenvalue_check,
     maximally_mixed_state,
+    one_copy_state,
     rank_closed_form,
     shift_state_dense,
     spectrum_rows,
@@ -202,7 +203,7 @@ def _cmd_subset_sum(args) -> int:
     if not report.agree():
         raise ConsistencyError("counted moments disagree with the closed forms")
     try:
-        table = subset_sum_table(group, args.k)
+        table = report.table or subset_sum_table(group, args.k)
         rank = table.rank()
         success = success_from_rank(rank, group.order, args.k)
     except CapacityError:
@@ -278,8 +279,7 @@ def _cmd_helstrom(args) -> int:
 def _cmd_weak_sample(args) -> int:
     group = _load_group(args)
     shift = _check_shift(group, args.shift)
-    state = block_shift_state(group, 1, shift)
-    dist = weak_sampling_distribution(state)
+    dist = weak_sampling_distribution(one_copy_state(group, shift))
     reference = plancherel(group)
     rows = []
     for rep in irreps(group):
@@ -413,7 +413,7 @@ def _cmd_verify_all(args) -> int:
         )
 
     group = parse_group("S4")
-    dist = weak_sampling_distribution(block_shift_state(group, 1))
+    dist = weak_sampling_distribution(one_copy_state(group))
     reference = plancherel(group)
     _require(
         max(abs(dist[lab] - float(p)) for lab, p in reference.items()) <= 1e-12,

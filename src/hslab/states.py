@@ -404,9 +404,9 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
         B = reduce(np.kron, per_copy).reshape(shape * 2)
         return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
     _guard_average(group, D)
-    dtype = np.result_type(np.float64, *(r.stack().dtype for r in reps))
-    parts = np.zeros((3 ** k, D, D), dtype=dtype)
-    for zi, z in enumerate(product((-1, 0, 1), repeat=k)):
+    patterns = list(product((-1, 0, 1), repeat=k))
+    avgs = []
+    for z in patterns:
         nz = [j for j in range(k) if z[j]]
         key = tuple((labels[j], z[j]) for j in nz)
         avg = memo.get(key)
@@ -414,7 +414,11 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
             avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
             if len(nz) < k:
                 memo[key] = avg
-        if len(nz) == k:
+        avgs.append(avg)
+    # the dtype of the averages read, so a block seeded from memo reads no stack
+    parts = np.zeros((3 ** k, D, D), dtype=np.result_type(np.float64, *(a.dtype for a in avgs)))
+    for zi, (z, avg) in enumerate(zip(patterns, avgs)):
+        if all(z):
             parts[zi] = avg
         else:
             _pad_identity(parts[zi], dims, z, avg)
@@ -427,9 +431,11 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
 def _one_factor_averages(reps: tuple[Irrep, ...]) -> dict:
     """The one-factor averages of every rep, keyed as in the memo of
     _build_block: avg rho(g^e) is [[1]] for the trivial irrep and, by Schur
-    orthogonality against it, zero for every other."""
+    orthogonality against it, zero for every other. They take the dtype of
+    the stacks they stand for: complex for characters, real for Young's form."""
+    zero = np.zeros((), complex if reps[0].group.is_abelian else float)
     return {
-        ((r.label, e),): np.eye(1) if r.is_trivial else np.broadcast_to(0.0, (r.dim, r.dim))
+        ((r.label, e),): np.eye(1, dtype=zero.dtype) if r.is_trivial else np.broadcast_to(zero, (r.dim, r.dim))
         for r in reps
         for e in (-1, 1)
     }
@@ -510,6 +516,19 @@ def block_shift_state(group: Group, copies: int, shift: int | None = None) -> Sh
     blocks = {blk.labels: blk for _, blk in _scan_blocks(group, copies, shift)}
     variant = "averaged" if shift is None else "fixed"
     return ShiftState(group, copies, variant, "block", shift=shift, blocks=blocks)
+
+
+def one_copy_state(group: Group, shift: int | None = None) -> ShiftState:
+    """block_shift_state(group, 1, shift), refused where it is, without the
+    stack averages: the averaged blocks start from _one_factor_averages, so
+    they hold exact zeros where the stack averages hold rounding noise, and
+    their diagonals, hence their traces, are the same floats."""
+    _guard_block_scan(group, 1)
+    reps = irreps(group)
+    seeds = _one_factor_averages(reps)
+    blocks = {(r.label,): _build_block((r,), shift, seeds) for r in reps}
+    variant = "averaged" if shift is None else "fixed"
+    return ShiftState(group, 1, variant, "block", shift=shift, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ probabilities in rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -120,7 +120,8 @@ class MomentReport:
     method records how the enumerated side was obtained: "table" walks the
     full count table, "convolution" runs an exact integer recursion over
     copies on the joint law of two subset sums (full enumeration
-    reorganized coordinate by coordinate).
+    reorganized coordinate by coordinate). table is the table walked, so
+    its rank costs no second build, or None for the convolution.
     """
 
     group: Group
@@ -130,6 +131,7 @@ class MomentReport:
     mean_counted: Fraction
     second_counted: Fraction
     method: str
+    table: SubsetSumTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def variance(self) -> Fraction:
@@ -156,6 +158,7 @@ def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
         s1 = int(table.counts.astype(np.int64).sum())
         s2 = int((table.counts.astype(np.int64) ** 2).sum())
     elif method == "convolution":
+        table = None
         s1, s2 = _convolution_totals(group, k)
     else:
         raise DomainError(f"unknown moments method {method!r}")
@@ -171,6 +174,7 @@ def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
         mean_counted=Fraction(s1, denom),
         second_counted=Fraction(s2, denom),
         method=method,
+        table=table,
     )
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import hslab.cli
+import hslab.subset_sums
 from hslab.groups import symmetric_group
 from hslab.irrep_cache import read_cache
 
@@ -257,6 +259,55 @@ def test_rank_s6_two_copies_golden():
         "group,k,variant,shift,dimension,rank,closed_form,agrees\n"
         "S6,2,averaged,,2073600,2070001,2070001,true\n"
     )
+
+
+def test_weak_sample_s7_golden():
+    proc = run_cli("weak-sample", "--group", "S7")
+    assert proc.stdout == (
+        '# hslab 0.1.0 {"command": "weak-sample", "group": "S7", "shift": null}\n'
+        "group,variant,irrep_label,d_rho,probability,plancherel,deviation\n"
+        "S7,averaged,7,1,0.000198412698412698,1/5040,0\n"
+        "S7,averaged,6+1,6,0.00714285714285714,1/140,0\n"
+        "S7,averaged,5+2,14,0.0388888888888889,7/180,0\n"
+        "S7,averaged,5+1+1,15,0.0446428571428571,5/112,0\n"
+        "S7,averaged,4+3,14,0.0388888888888889,7/180,0\n"
+        "S7,averaged,4+2+1,35,0.243055555555556,35/144,0\n"
+        "S7,averaged,4+1+1+1,20,0.0793650793650794,5/63,0\n"
+        "S7,averaged,3+3+1,21,0.0875,7/80,0\n"
+        "S7,averaged,3+2+2,21,0.0875,7/80,0\n"
+        "S7,averaged,3+2+1+1,35,0.243055555555556,35/144,0\n"
+        "S7,averaged,3+1+1+1+1,15,0.0446428571428571,5/112,0\n"
+        "S7,averaged,2+2+2+1,14,0.0388888888888889,7/180,0\n"
+        "S7,averaged,2+2+1+1+1,14,0.0388888888888889,7/180,0\n"
+        "S7,averaged,2+1+1+1+1+1,6,0.00714285714285714,1/140,0\n"
+        "S7,averaged,1+1+1+1+1+1+1,1,0.000198412698412698,1/5040,0\n"
+    )
+
+
+def test_rank_s7_one_copy_golden():
+    proc = run_cli("rank", "--group", "S7", "--k", "1")
+    assert proc.stdout == (
+        '# hslab 0.1.0 {"command": "rank", "group": "S7", "k": 1, "shift": null}\n'
+        "group,k,variant,shift,dimension,rank,closed_form,agrees\n"
+        "S7,1,averaged,,10080,10079,10079,true\n"
+    )
+
+
+@pytest.mark.parametrize("group,k", [("Z2xZ4", 4), ("Z8", 5)])
+def test_subset_sum_builds_one_table(monkeypatch, capsys, group, k):
+    calls = []
+    build = hslab.subset_sums.subset_sum_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (hslab.cli, hslab.subset_sums):
+        monkeypatch.setattr(module, "subset_sum_table", counted)
+    assert hslab.cli.main(["subset-sum", "--group", group, "--k", str(k)]) == 0
+    assert len(calls) == 1
+    _, rows = read_csv(capsys.readouterr().out)
+    assert rows[0]["method"] == "table" and rows[0]["rank"] != ""
 
 
 def _assert_capacity_error(proc):

@@ -17,7 +17,7 @@ from hslab.groups import (
     symmetric_group,
 )
 from hslab.irreps import Irrep, irreps, kron_stack
-from hslab.measurements import helstrom
+from hslab.measurements import helstrom, weak_sampling_distribution
 from hslab.states import (
     GRID_ENTRY_WORK,
     MULTISET_WORK,
@@ -41,6 +41,7 @@ from hslab.states import (
     dense_from_blocks,
     interior_eigenvalue_check,
     maximally_mixed_state,
+    one_copy_state,
     power_block,
     rank_closed_form,
     shift_pair_vector,
@@ -852,3 +853,34 @@ def test_multiset_weights_count_every_dimension(name):
             )
             total = sum(weight * len(w) for _, weight, w in spectra)
             assert total == (2 * G.order) ** k, (k, shift)
+
+
+@pytest.mark.parametrize("name", [f"S{n}" for n in range(1, 7)] + ABELIAN_TO_16)
+def test_one_copy_state_matches_stack_averaged_state(name):
+    # the Schur-seeded one-copy blocks against the stack-averaged ones: the
+    # same dtype and diagonal floats, exact zeros for the averages' noise
+    G = parse_group(name)
+    for shift in dict.fromkeys((None, 1 % G.order, G.order - 1)):
+        want = block_shift_state(G, 1, shift)
+        got = one_copy_state(G, shift)
+        got.validate()
+        assert (got.variant, got.shift) == (want.variant, want.shift)
+        assert list(got.blocks) == list(want.blocks)
+        for a, b in zip(got.blocks.values(), want.blocks.values()):
+            assert (a.labels, a.multiplicity, a.matrix.dtype) == (b.labels, b.multiplicity, b.matrix.dtype)
+            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
+            assert np.diagonal(a.matrix).tobytes() == np.diagonal(b.matrix).tobytes()
+        assert weak_sampling_distribution(got) == weak_sampling_distribution(want)
+
+
+def test_one_copy_outputs_read_no_stack(monkeypatch):
+    # whatever stacks an earlier test left in the irreps memo, none is read
+    def refuse(self):
+        raise AssertionError(f"stack of {self!r} was read")
+
+    monkeypatch.setattr(Irrep, "stack", refuse)
+    G = symmetric_group(7)
+    dist = weak_sampling_distribution(one_copy_state(G))
+    assert max(abs(dist[r.label] - r.dim ** 2 / G.order) for r in irreps(G)) <= 1e-15
+    assert state_rank(G, 1) == rank_closed_form(G, 1)
+    assert interior_eigenvalue_check(G, 1).found is False
