@@ -352,7 +352,8 @@ def _cmd_iso(args) -> int:
         reference = maximally_mixed_state(G, 1, form="dense").dense
     else:
         reference = shift_state_dense(G, G.inverse(shift), 1).dense
-    deviation = float(np.max(np.abs(state.dense - reference)))
+    np.subtract(state.dense, reference, out=reference)
+    deviation = float(np.max(np.abs(reference, out=reference)))
     if deviation > 1e-12:
         raise ConsistencyError("oracle state deviates from its reference form")
     payload = {

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .groups import Group
 from .irreps import Irrep, irreps, plancherel
-from .states import ShiftState, _is_psd, _pattern_blocks
+from .states import ShiftState, _density_verdicts, _pattern_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,14 @@ def _check_density(M: np.ndarray, who: str) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"{who} must be a square matrix")
-    if np.max(np.abs(M - (M.T if np.isrealobj(M) else M.conj().T))) > 1e-10:
+    finite, hermitian, positive = _density_verdicts(M, 1e-10, 1e-8)
+    if not finite:
+        raise DomainError(f"{who} must have finite entries")
+    if not hermitian:
         raise DomainError(f"{who} must be Hermitian")
     if abs(np.trace(M).real - 1.0) > 1e-8:
         raise DomainError(f"{who} must have unit trace")
-    if not _is_psd(M, 1e-8):
+    if not positive:
         raise DomainError(f"{who} must be positive semidefinite")
     return M
 

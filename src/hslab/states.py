@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, SubgroupEmbedding
-from .irreps import _STACK_ELEMENT_LIMIT, Irrep, fourier, irreps, kron_stack, regular_rep
+from .irreps import _STACK_ELEMENT_LIMIT, Irrep, fourier, irreps, kron_stack
 
 DENSE_BYTES_LIMIT = 2 ** 31
 DENSE_WORKING_MATRICES = 6
@@ -90,22 +90,28 @@ class ShiftState:
         return 1.0 / self.dimension
 
     def validate(self) -> None:
-        """Check hermiticity, positivity and unit trace; raise on failure."""
+        """Check finiteness, hermiticity, positivity and unit trace; raise on failure."""
         if self.form == "dense":
             M = self.dense
-            if np.max(np.abs(M - M.conj().T)) > 1e-12:
+            finite, hermitian, positive = _density_verdicts(M, 1e-12, 1e-10)
+            if not finite:
+                raise ConsistencyError("dense state has a non-finite entry")
+            if not hermitian:
                 raise ConsistencyError("dense state is not Hermitian")
             if abs(np.trace(M).real - 1.0) > 1e-10:
                 raise ConsistencyError("dense state trace differs from one")
-            if not _is_psd(M, 1e-10):
+            if not positive:
                 raise ConsistencyError("dense state has a negative eigenvalue")
             return
         total = 0.0
         for blk in self.blocks.values():
             B = blk.matrix
-            if np.max(np.abs(B - B.conj().T)) > 1e-12:
+            finite, hermitian, positive = _density_verdicts(B, 1e-12, 1e-10)
+            if not finite:
+                raise ConsistencyError(f"block {blk.labels} has a non-finite entry")
+            if not hermitian:
                 raise ConsistencyError(f"block {blk.labels} is not Hermitian")
-            if not _is_psd(B, 1e-10):
+            if not positive:
                 raise ConsistencyError(f"block {blk.labels} has a negative eigenvalue")
             total += blk.multiplicity * np.trace(B).real
         if abs(total * self.scale() - 1.0) > 1e-10:
@@ -154,17 +160,25 @@ def _pattern_blocks(M: np.ndarray):
         yield index, M[index[:, :, None], index[:, None, :]]
 
 
-def _is_psd(M: np.ndarray, tol: float) -> bool:
-    """No eigenvalue of the Hermitian M is below -tol: every connected block
-    of M plus tol*I has a Cholesky factor (one batched factorization per size)."""
+def _density_verdicts(M: np.ndarray, herm_tol: float, psd_tol: float) -> tuple[bool, bool, bool]:
+    """(finite, Hermitian, positive) verdicts on the square M from one walk over
+    its connected blocks, outside which M and M^H are zero: no inf or nan (else
+    all False); max |M - M^H| <= herm_tol; and, for Hermitian M, every block plus
+    psd_tol*I has a Cholesky factor (one batched factorization per size)."""
+    hermitian = positive = True
     for _, stack in _pattern_blocks(M):
-        shifted = stack.copy()
-        np.einsum("...ii->...i", shifted)[...] += tol
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+        if not np.isfinite(stack).all():
+            return False, False, False
+        if hermitian and np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) > herm_tol:
+            hermitian = positive = False
+        if positive:
+            shifted = stack.copy()
+            np.einsum("...ii->...i", shifted)[...] += psd_tol
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                positive = False
+    return True, hermitian, positive
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +223,15 @@ def _guard_dense(group: Group, copies: int) -> None:
 
 
 def _single_copy_dense(group: Group, s: int) -> np.ndarray:
+    """[[I, R(s)], [R(s^-1), I]] / (2|G|) written as its 4|G| nonzeros:
+    R(s) holds (g s^-1, g) and R(s^-1) holds (g s, g)."""
     N = group.order
-    R = regular_rep(group, s)
-    Rinv = regular_rep(group, group.inverse(s))
-    top = np.hstack([np.eye(N), R])
-    bot = np.hstack([Rinv, np.eye(N)])
-    return np.vstack([top, bot]) / (2.0 * N)
+    g = np.arange(N)
+    rows = np.concatenate([g, N + g, group.translate(group.inverse(s)), N + group.translate(s)])
+    cols = np.concatenate([g, N + g, N + g, g])
+    out = np.zeros((2 * N, 2 * N))
+    out[rows, cols] = 1.0 / (2.0 * N)
+    return out
 
 
 def shift_state_dense(group: Group, s: int, copies: int = 1) -> ShiftState:
@@ -249,9 +266,11 @@ def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") ->
     if form == "dense":
         _guard_dense(group, copies)
         dim = (2 * group.order) ** copies
-        return ShiftState(
-            group, copies, "no-shift", "dense", dense=np.eye(dim) / dim
-        )
+        dense = np.eye(dim)
+        dense /= dim
+        return ShiftState(group, copies, "no-shift", "dense", dense=dense)
+    if form != "block":
+        raise DomainError(f"form must be 'dense' or 'block', not {form!r}")
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     # the identity blocks take 8 4^k bytes or more: compare k with a bit length first

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import hslab.cli
 import hslab.subset_sums
 from hslab.groups import symmetric_group
 from hslab.irrep_cache import read_cache
+from hslab.iso import format_graph, graph_act, rigid_corpus
 
 TRIANGLE = "3;1 2;2 3;colors: 0 1 2"
 RELABELED = "3;1 2;1 3;colors: 1 0 2"  # image of the triangle under 0<->1
@@ -367,6 +369,25 @@ def test_iso_inline_unrelated_pair():
     assert payload["isomorphic"] is False
     assert payload["shift_index"] is None
     assert payload["state_reference"] == "mixed"
+
+
+@pytest.mark.parametrize("isomorphic", [True, False])
+def test_iso_peak_is_two_dense_states(capsys, isomorphic):
+    # the S6 oracle state and its reference are the 1440 x 1440 float64
+    # matrices iso has to hold; the checks and the deviation add none
+    A, B = rigid_corpus(6, 2)
+    second = graph_act((3, 5, 0, 4, 1, 2), A if isomorphic else B)
+    first, second = (format_graph(g).replace("\n", ";") for g in (A, second))
+    tracemalloc.start()
+    try:
+        assert hslab.cli.main(["iso", "--inline", "--first", first, "--second", second]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["isomorphic"], payload["state_dimension"]) == (isomorphic, 1440)
+    assert payload["state_max_abs_deviation"] == 0.0
+    assert peak < 2.5 * 8 * 1440 ** 2
 
 
 def test_iso_missing_file(tmp_path):

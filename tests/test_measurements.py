@@ -8,6 +8,7 @@ from hslab.groups import abelian_group, symmetric_group
 from hslab.irreps import irreps
 from hslab.measurements import (
     Povm,
+    _check_density,
     helstrom,
     indistinguishability_sweep,
     random_povm,
@@ -19,7 +20,7 @@ from hslab.measurements import (
     weighted_variance_sum,
 )
 from hslab.states import (
-    _is_psd,
+    _density_verdicts,
     _pattern_blocks,
     averaged_shift_state_dense,
     block_shift_state,
@@ -174,13 +175,98 @@ def test_block_positivity_threshold(sizes):
         found = sorted(size for index, _ in _pattern_blocks(bad) for size in [index.shape[1]] * len(index))
         assert found == sorted(sizes)
         assert np.linalg.eigvalsh(bad).min() < -1e-8
-        assert not _is_psd(bad, 1e-8)
+        assert _density_verdicts(bad, 1e-10, 1e-8) == (True, True, False)
         with pytest.raises(DomainError, match="positive semidefinite"):
             helstrom(bad, mixed)
         good = block_density(sizes, seed, -5e-9)
         assert np.linalg.eigvalsh(good).min() > -1e-8
-        assert _is_psd(good, 1e-8)
+        assert _density_verdicts(good, 1e-10, 1e-8) == (True, True, True)
         helstrom(good, mixed)
+
+
+def _oracle_check_density(M, who):
+    """The message _check_density raised as first written, or None: a
+    full-matrix Hermitian check, the trace, then the blockwise Cholesky test."""
+    if np.max(np.abs(M - (M.T if np.isrealobj(M) else M.conj().T))) > 1e-10:
+        return f"{who} must be Hermitian"
+    if abs(np.trace(M).real - 1.0) > 1e-8:
+        return f"{who} must have unit trace"
+    for _, stack in _pattern_blocks(M):
+        shifted = stack.copy()
+        np.einsum("...ii->...i", shifted)[...] += 1e-8
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return f"{who} must be positive semidefinite"
+    return None
+
+
+def _density_cases():
+    """(matrix, expected message) pairs: S3 states, then one flaw each, or two
+    whose order of report matters."""
+    S3 = symmetric_group(3)
+    for k in (1, 2, 3):
+        yield averaged_shift_state_dense(S3, k).dense, None
+        yield maximally_mixed_state(S3, k).dense, None
+        for s in S3.elements():
+            yield shift_state_dense(S3, s, k).dense, None
+    mixed = np.eye(12) / 12
+    for value, message in ((1e-9, "Hermitian"), (1e-11, None)):
+        # one asymmetric entry linking two otherwise separate 1 x 1 blocks
+        M = mixed.copy()
+        M[0, 5] = value
+        yield M, message
+    fixed = shift_state_dense(S3, 1, 1).dense
+    i = np.flatnonzero(fixed[0])[-1]
+    for imag, message in ((1e-9, "Hermitian"), (1e-11, None)):
+        # a complex pair inside a 2 x 2 block, equal where it should be conjugate
+        M = fixed.astype(complex)
+        M[i, 0] = M[0, i] = fixed[i, 0] + 1j * imag
+        yield M, message
+    bad = block_density((4, 4, 4), 0, -2e-8)
+    yield bad, "positive semidefinite"
+    yield 1.1 * bad, "unit trace"
+    yield (1.0 + 5e-9) * bad, "positive semidefinite"
+    M = 1.1 * bad
+    M[0, 1] += 1e-6
+    yield M, "Hermitian"
+
+
+def test_density_check_matches_the_full_matrix_checks():
+    expected = {None: None, "Hermitian": "state must be Hermitian",
+                "unit trace": "state must have unit trace",
+                "positive semidefinite": "state must be positive semidefinite"}
+    cases = list(_density_cases())
+    assert len(cases) == 3 * 8 + 8
+    for M, message in cases:
+        try:
+            _check_density(M, "state")
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == _oracle_check_density(M, "state") == expected[message]
+
+
+def test_helstrom_rejects_non_finite_entries():
+    # the old checks passed this: helstrom gave success 0.5 and trace norm nan
+    mixed = np.eye(4) / 4
+    M = mixed.copy()
+    M[0, 1] = M[1, 0] = np.nan
+    assert _oracle_check_density(M, "first state") is None
+    with pytest.raises(DomainError, match="first state must have finite entries"):
+        helstrom(M, mixed)
+    M[0, 1] = M[1, 0] = np.inf
+    with pytest.raises(DomainError, match="second state must have finite entries"):
+        helstrom(mixed, M)
+    # reported before an asymmetric entry in a block walked earlier (a
+    # smaller one)
+    mixed = np.eye(6) / 6
+    M = mixed.copy()
+    M[0, 1] = 1e-6
+    M[2, 3] = M[3, 2] = -np.inf
+    M[3, 4] = M[4, 3] = 0.01
+    with pytest.raises(DomainError, match="first state must have finite entries"):
+        helstrom(M, mixed)
 
 
 def _oracle_helstrom(r1, r2):

@@ -16,7 +16,8 @@ from hslab.groups import (
     parse_group,
     symmetric_group,
 )
-from hslab.irreps import Irrep, irreps, kron_stack
+from hslab.irreps import Irrep, irreps, kron_stack, regular_rep
+from hslab.iso import graph, graph_act, make_shift_oracles, states_from_oracles
 from hslab.measurements import helstrom, weak_sampling_distribution
 from hslab.states import (
     GRID_ENTRY_WORK,
@@ -26,6 +27,7 @@ from hslab.states import (
     _average_product,
     _build_block,
     _dense_bytes,
+    _density_verdicts,
     _guard_block_scan,
     _guard_dense,
     _guard_multiset_scan,
@@ -35,6 +37,7 @@ from hslab.states import (
     _pattern_blocks,
     _scan_blocks,
     _schur_pair_averages,
+    _single_copy_dense,
     averaged_shift_state_dense,
     block_basis_permutation,
     block_shift_state,
@@ -349,6 +352,9 @@ def test_maximally_mixed_state_forms():
     block.validate()
     assembled = dense_from_blocks(block)
     assert np.allclose(assembled, np.eye(64) / 64, atol=1e-14)
+    for form in ("Dense", "BLOCK", "", "sparse"):
+        with pytest.raises(DomainError, match="form must be 'dense' or 'block'"):
+            maximally_mixed_state(G, 2, form=form)
 
 
 def _tilted(M, delta):
@@ -374,6 +380,166 @@ def test_validate_rejects_a_negative_eigenvalue():
     state.validate()
     blk.matrix = _tilted(original, 1e-9)
     with pytest.raises(ConsistencyError, match=r"block .* has a negative eigenvalue"):
+        state.validate()
+
+
+def _oracle_validate(state):
+    """The message ShiftState.validate raised as first written, or None: a
+    full-matrix Hermitian check, the trace, then the blockwise Cholesky test."""
+
+    def psd(M, tol):
+        for _, stack in _pattern_blocks(M):
+            shifted = stack.copy()
+            np.einsum("...ii->...i", shifted)[...] += tol
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
+    if state.form == "dense":
+        M = state.dense
+        if np.max(np.abs(M - M.conj().T)) > 1e-12:
+            return "dense state is not Hermitian"
+        if abs(np.trace(M).real - 1.0) > 1e-10:
+            return "dense state trace differs from one"
+        if not psd(M, 1e-10):
+            return "dense state has a negative eigenvalue"
+        return None
+    total = 0.0
+    for blk in state.blocks.values():
+        B = blk.matrix
+        if np.max(np.abs(B - B.conj().T)) > 1e-12:
+            return f"block {blk.labels} is not Hermitian"
+        if not psd(B, 1e-10):
+            return f"block {blk.labels} has a negative eigenvalue"
+        total += blk.multiplicity * np.trace(B).real
+    if abs(total * state.scale() - 1.0) > 1e-10:
+        return "block traces do not sum to one"
+    return None
+
+
+def _validate_message(state):
+    try:
+        state.validate()
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def _accepted_s3_states():
+    S3 = symmetric_group(3)
+    path = graph(3, [(0, 1), (1, 2)], colors=[0, 1, 2])
+    pairs = [(path, graph_act((2, 0, 1), path)), (path, graph(3, [(0, 2)], colors=[0, 1, 2]))]
+    for k in (1, 2, 3):
+        yield averaged_shift_state_dense(S3, k)
+        yield maximally_mixed_state(S3, k)
+        yield maximally_mixed_state(S3, k, form="block")
+        yield block_shift_state(S3, k)
+        for s in S3.elements():
+            yield shift_state_dense(S3, s, k)
+            yield block_shift_state(S3, k, s)
+        for A, B in pairs:
+            yield states_from_oracles(make_shift_oracles(A, B), k)
+
+
+def _tampered_s3_states():
+    """S3 states with one flaw each, or two whose order of report matters."""
+    S3 = symmetric_group(3)
+
+    def dense(M):
+        return ShiftState(S3, 1, "fixed", "dense", 1, dense=M)
+
+    mixed = maximally_mixed_state(S3, 1).dense
+    for value in (1e-9, 1e-13):
+        # one asymmetric entry linking two otherwise separate 1 x 1 blocks
+        M = mixed.copy()
+        M[0, 5] = value
+        yield dense(M)
+    fixed = shift_state_dense(S3, 1, 1).dense
+    i, j = np.flatnonzero(fixed[0])[-1], 0
+    for imag in (1e-9, 1e-13):
+        # a complex pair inside a 2 x 2 block, equal where it should be conjugate
+        M = fixed.astype(complex)
+        M[i, j] = M[j, i] = fixed[i, j] + 1j * imag
+        yield dense(M)
+    for delta, factor in ((1e-9, 1.0), (1e-9, 1.1), (5e-11, 1.1), (1e-9, 1.0 + 5e-11)):
+        # a negative eigenvalue, a wrong trace, or both: the trace is reported first
+        yield dense(factor * _tilted(fixed, delta))
+    # not Hermitian as well, which is reported before both
+    M = 1.1 * _tilted(fixed, 1e-9)
+    M[0, 1] += 1e-6
+    yield dense(M)
+    for flaw in ("tilt", "asymmetric", "trace"):
+        state = block_shift_state(S3, 2, 1)
+        blk = list(state.blocks.values())[-1]
+        if flaw == "tilt":
+            blk.matrix = _tilted(blk.matrix, 1e-9)
+        elif flaw == "asymmetric":
+            blk.matrix = blk.matrix.copy()
+            blk.matrix[0, -1] += 1e-9
+        else:
+            blk.matrix = 1.01 * blk.matrix
+        yield state
+
+
+def test_validate_matches_the_full_matrix_checks():
+    accepted = list(_accepted_s3_states())
+    assert len(accepted) == 3 * (4 + 2 * 6 + 2)
+    for state in accepted:
+        assert _validate_message(state) is None
+        assert _oracle_validate(state) is None
+    messages = []
+    for state in _tampered_s3_states():
+        messages.append(_validate_message(state))
+        assert messages[-1] == _oracle_validate(state)
+    last = list(block_shift_state(symmetric_group(3), 2).blocks)[-1]
+    assert messages == [
+        "dense state is not Hermitian",
+        None,
+        "dense state is not Hermitian",
+        None,
+        "dense state has a negative eigenvalue",
+        "dense state trace differs from one",
+        "dense state trace differs from one",
+        "dense state has a negative eigenvalue",
+        "dense state is not Hermitian",
+        f"block {last} has a negative eigenvalue",
+        f"block {last} is not Hermitian",
+        "block traces do not sum to one",
+    ]
+
+
+def test_validate_rejects_non_finite_entries():
+    # the old checks accepted I/4 with a nan pair: max |M - M^H| and the
+    # trace come out nan, nan > tol is False, and this Cholesky does not fail
+    Z2 = abelian_group(2)
+    M = np.eye(4) / 4
+    M[0, 1] = M[1, 0] = np.nan
+    state = ShiftState(Z2, 1, "no-shift", "dense", dense=M)
+    assert _oracle_validate(state) is None
+    with pytest.raises(ConsistencyError, match="dense state has a non-finite entry"):
+        state.validate()
+    S3 = symmetric_group(3)
+    mixed = maximally_mixed_state(S3, 1).dense
+    M = mixed.copy()
+    M[0, 1] = M[1, 0] = np.inf
+    with pytest.raises(ConsistencyError, match="dense state has a non-finite entry"):
+        ShiftState(S3, 1, "no-shift", "dense", dense=M).validate()
+    # reported before an asymmetric entry in a block walked earlier (a
+    # smaller one)
+    M = mixed.copy()
+    M[2, 3] = 1e-6
+    M[7, 8] = M[8, 7] = np.nan
+    M[8, 9] = M[9, 8] = 0.01
+    assert _density_verdicts(M, 1e-12, 1e-10) == (False, False, False)
+    with pytest.raises(ConsistencyError, match="non-finite entry"):
+        ShiftState(S3, 1, "no-shift", "dense", dense=M).validate()
+    state = block_shift_state(S3, 1)
+    blk = list(state.blocks.values())[-1]
+    blk.matrix = blk.matrix.copy()
+    blk.matrix[0, 0] = np.nan
+    with pytest.raises(ConsistencyError, match=r"block .* has a non-finite entry"):
         state.validate()
 
 
@@ -884,3 +1050,24 @@ def test_one_copy_outputs_read_no_stack(monkeypatch):
     assert max(abs(dist[r.label] - r.dim ** 2 / G.order) for r in irreps(G)) <= 1e-15
     assert state_rank(G, 1) == rank_closed_form(G, 1)
     assert interior_eigenvalue_check(G, 1).found is False
+
+
+def _oracle_single_copy_dense(group, s):
+    """_single_copy_dense as first written, from two regular representations."""
+    N = group.order
+    R = regular_rep(group, s)
+    Rinv = regular_rep(group, group.inverse(s))
+    top = np.hstack([np.eye(N), R])
+    bot = np.hstack([Rinv, np.eye(N)])
+    return np.vstack([top, bot]) / (2.0 * N)
+
+
+@pytest.mark.parametrize("name", [f"S{n}" for n in range(1, 6)] + ABELIAN_TO_16)
+def test_dense_builds_match_the_stacked_construction(name):
+    G = parse_group(name)
+    for s in G.elements():
+        assert _single_copy_dense(G, s).tobytes() == _oracle_single_copy_dense(G, s).tobytes(), s
+    for k in (1, 2):
+        if (2 * G.order) ** k <= 1440:
+            d = (2 * G.order) ** k
+            assert maximally_mixed_state(G, k).dense.tobytes() == (np.eye(d) / d).tobytes()
