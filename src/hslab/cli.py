@@ -347,13 +347,7 @@ def _cmd_iso(args) -> int:
     independent = iso_mod.are_isomorphic(A, B)
     if (shift is None) != (independent is None):
         raise ConsistencyError("oracle search and exhaustive search disagree")
-    state = iso_mod.states_from_oracles(pair, copies=1)
-    if shift is None:
-        reference = maximally_mixed_state(G, 1, form="dense").dense
-    else:
-        reference = shift_state_dense(G, G.inverse(shift), 1).dense
-    np.subtract(state.dense, reference, out=reference)
-    deviation = float(np.max(np.abs(reference, out=reference)))
+    _, deviation = iso_mod.check_oracle_state(pair, shift)
     if deviation > 1e-12:
         raise ConsistencyError("oracle state deviates from its reference form")
     payload = {
@@ -361,7 +355,7 @@ def _cmd_iso(args) -> int:
         "group": G.descriptor,
         "shift_index": shift,
         "shift_name": None if shift is None else G.element_name(shift),
-        "state_dimension": state.dimension,
+        "state_dimension": 2 * G.order,
         "state_reference": "mixed" if shift is None else "averaged base point, inverse shift",
         "state_max_abs_deviation": deviation,
     }

@@ -37,14 +37,15 @@ def read_cache(path: str, group: Group) -> list[tuple[str, np.ndarray]] | None:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-        if zlib.crc32(blob[:-4]).to_bytes(4, "little") != blob[-4:]:
+        # no copy of the file: the checksum reads a view, np.load a shared buffer
+        if zlib.crc32(memoryview(blob)[:-4]).to_bytes(4, "little") != blob[-4:]:
             return None  # checked first, so no corrupt header reaches np.load
-        body = io.BytesIO(blob[:-4])
+        body = io.BytesIO(blob)
         names = np.load(body, allow_pickle=False)
         stacks = [np.load(body, allow_pickle=False) for _ in names[1:]]
     except (OSError, ValueError, EOFError, IndexError):
         return None
-    fits = not body.read(1) and all(s.shape == (group.order,) + s.shape[-1:] * 2 for s in stacks)
+    fits = body.tell() == len(blob) - 4 and all(s.shape == (group.order,) + s.shape[-1:] * 2 for s in stacks)
     if names[:1].tolist() != [group.descriptor] or not fits:
         return None
     return [(str(name), stack) for name, stack in zip(names[1:], stacks)]

@@ -32,6 +32,7 @@ _FOURIER_ORDER_LIMIT = 2048
 _EXHAUSTIVE_CHECK_ORDER = 120
 
 _MEMO: dict[str, tuple["Irrep", ...]] = {}
+_BFS_PLANS: dict[str, list[list[tuple[np.ndarray, np.ndarray]]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +191,11 @@ class Irrep:
             phases = np.exp(2j * np.pi * (G.rows.astype(np.float64) @ weights))
             return phases.reshape(G.order, 1, 1)
         gens, gen_idx = self._generators()
-        right = np.array([G.translate(s) for s in gen_idx], dtype=np.int64).reshape(-1, G.order)
         stack = np.zeros((G.order, self.dim, self.dim))
         stack[0] = np.eye(self.dim)
-        done = np.zeros(G.order, dtype=bool)
-        done[0] = True
-        level = np.zeros(1, dtype=np.int64)
-        # Breadth-first, one level at a time: each new element h = g * s_i takes
-        # the first (g, i) pair in (level order, generator order) as its parent.
-        while level.size:
-            reached = right[:, level].T.ravel()
-            fresh = np.flatnonzero(~done[reached])
-            _, first = np.unique(reached[fresh], return_index=True)
-            pairs = fresh[np.sort(first)]
-            parents, gen = level[pairs // len(gens)], pairs % len(gens)
-            level = reached[pairs]
-            done[level] = True
-            for i, M in enumerate(gens):
-                pick = gen == i
-                stack[level[pick]] = stack[parents[pick]] @ M
-        if not done.all():
-            raise ConsistencyError("generators failed to reach every group element")
+        for level in _bfs_plan(G, gen_idx):
+            for M, (targets, parents) in zip(gens, level):
+                stack[targets] = stack[parents] @ M
         return stack
 
     def __repr__(self) -> str:
@@ -225,6 +210,37 @@ class Irrep:
 
     def __hash__(self) -> int:
         return hash((self.group.descriptor, self.label))
+
+
+def _bfs_plan(group: Group, gen_idx: list[int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The breadth-first order in which Irrep._build_stack reaches the group
+    from the identity: per level, per generator s_i, the (targets, parents)
+    index arrays with target = parent * s_i. Each new element takes the first
+    (parent, i) pair in (level order, generator order). It depends on the
+    group alone, so it is memoized per descriptor and shared by its irreps."""
+    plan = _BFS_PLANS.get(group.descriptor)
+    if plan is not None:
+        return plan
+    right = np.array([group.translate(s) for s in gen_idx], dtype=np.int64).reshape(-1, group.order)
+    done = np.zeros(group.order, dtype=bool)
+    done[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    plan = []
+    while True:
+        reached = right[:, level].T.ravel()
+        fresh = np.flatnonzero(~done[reached])
+        _, first = np.unique(reached[fresh], return_index=True)
+        pairs = fresh[np.sort(first)]
+        if not pairs.size:
+            break
+        parents, gen = level[pairs // len(gen_idx)], pairs % len(gen_idx)
+        level = reached[pairs]
+        done[level] = True
+        plan.append([(level[gen == i], parents[gen == i]) for i in range(len(gen_idx))])
+    if not done.all():
+        raise ConsistencyError("generators failed to reach every group element")
+    _BFS_PLANS[group.descriptor] = plan
+    return plan
 
 
 def irreps(group: Group, cache_dir: str | os.PathLike | None = None) -> tuple[Irrep, ...]:

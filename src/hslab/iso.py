@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, symmetric_group
-from .states import ShiftState, _guard_dense
+from .states import (
+    ShiftState,
+    _guard_dense,
+    _require_density,
+    _single_copy_positions,
+    _stack_verdicts,
+)
 
 MAX_RIGID_CHECK_N = 8
 MAX_ORACLE_N = 6
@@ -283,6 +289,31 @@ def find_shift_bruteforce(pair: ShiftOraclePair):
     return int(candidates[0])
 
 
+def _oracle_blocks(pair: ShiftOraclePair) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The one-copy oracle state as (index, stack) pairs, in the form
+    states._pattern_blocks yields: each oracle value y is one all-ones
+    block over the basis states (x, g) with table_x[g] == y, scaled by 1/(2|G|).
+
+    index is a (count, size) array of ascending positions (x |G| + g), one row
+    per value, and stack the (count, size, size) blocks; sizes ascend, and the
+    blocks of one size come in the order of their first position.
+    """
+    N = pair.group.order
+    positions: dict[bytes, list[int]] = {}
+    for g, y in enumerate(pair.outputs_first):
+        positions.setdefault(y, []).append(g)
+    for g, y in enumerate(pair.outputs_second):
+        positions.setdefault(y, []).append(N + g)
+    by_size: dict[int, list[list[int]]] = {}
+    for pos in positions.values():
+        by_size.setdefault(len(pos), []).append(pos)
+    blocks = []
+    for size in sorted(by_size):
+        index = np.array(by_size[size], dtype=np.int64)
+        blocks.append((index, np.ones((len(index), size, size)) / (2 * N)))
+    return blocks
+
+
 def states_from_oracles(pair: ShiftOraclePair, copies: int = 1) -> ShiftState:
     """Mixed state of the standard oracle preparation, averaged over values.
 
@@ -294,17 +325,10 @@ def states_from_oracles(pair: ShiftOraclePair, copies: int = 1) -> ShiftState:
     if copies < 1:
         raise DomainError("copies must be positive")
     _guard_dense(pair.group, copies)
-    N = pair.group.order
-    dim = 2 * N
-    positions: dict[bytes, list[int]] = {}
-    for g, y in enumerate(pair.outputs_first):
-        positions.setdefault(y, []).append(g)
-    for g, y in enumerate(pair.outputs_second):
-        positions.setdefault(y, []).append(N + g)
+    dim = 2 * pair.group.order
     M = np.zeros((dim, dim))
-    for pos in positions.values():
-        M[np.ix_(pos, pos)] += 1.0
-    M /= dim
+    for index, stack in _oracle_blocks(pair):
+        M[index[:, :, None], index[:, None, :]] = stack
     dense = M
     for _ in range(copies - 1):
         dense = np.kron(dense, M)
@@ -319,3 +343,39 @@ def states_from_oracles(pair: ShiftOraclePair, copies: int = 1) -> ShiftState:
     )
     state.validate()
     return state
+
+
+def check_oracle_state(pair: ShiftOraclePair, shift: int | None) -> tuple[float, float]:
+    """Validate the one-copy oracle state and compare it with its reference
+    form, one connected block at a time, without a (2|G|)^2 matrix.
+
+    The blocks get the checks and tolerances of ShiftState.validate
+    (ConsistencyError on failure). The reference is the maximally mixed state
+    when shift is None, else the fixed-shift state of the inverse of shift.
+    Returns the trace and max |state - reference|, taken over the union of
+    the two states' nonzero positions: both are zero everywhere else.
+    """
+    G = pair.group
+    dim = 2 * G.order
+    blocks = _oracle_blocks(pair)
+    diagonal = np.zeros(dim)  # in dense order, so its sum rounds as np.trace does
+    for index, stack in blocks:
+        diagonal[index] = stack.diagonal(axis1=1, axis2=2)
+    trace = float(diagonal.sum())
+    _require_density(_stack_verdicts((stack for _, stack in blocks), 1e-12, 1e-10), trace, "oracle state")
+    if shift is None:
+        rows = cols = np.arange(dim)
+        value = 1.0 / dim
+    else:
+        rows, cols = _single_copy_positions(G, G.inverse(shift))
+        value = 1.0 / (2.0 * G.order)
+    keys = [rows * dim + cols]
+    entries = [np.full(len(rows), -value)]
+    for index, stack in blocks:
+        keys.append((index[:, :, None] * dim + index[:, None, :]).ravel())
+        entries.append(stack.ravel())
+    # bincount adds in input order from 0.0, so a shared position gets
+    # (0.0 - reference) + state, which rounds as state - reference does
+    _, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    deviation = float(np.max(np.abs(np.bincount(slot.ravel(), np.concatenate(entries)))))
+    return trace, deviation

@@ -93,15 +93,7 @@ class ShiftState:
         """Check finiteness, hermiticity, positivity and unit trace; raise on failure."""
         if self.form == "dense":
             M = self.dense
-            finite, hermitian, positive = _density_verdicts(M, 1e-12, 1e-10)
-            if not finite:
-                raise ConsistencyError("dense state has a non-finite entry")
-            if not hermitian:
-                raise ConsistencyError("dense state is not Hermitian")
-            if abs(np.trace(M).real - 1.0) > 1e-10:
-                raise ConsistencyError("dense state trace differs from one")
-            if not positive:
-                raise ConsistencyError("dense state has a negative eigenvalue")
+            _require_density(_density_verdicts(M, 1e-12, 1e-10), np.trace(M).real, "dense state")
             return
         total = 0.0
         for blk in self.blocks.values():
@@ -161,12 +153,18 @@ def _pattern_blocks(M: np.ndarray):
 
 
 def _density_verdicts(M: np.ndarray, herm_tol: float, psd_tol: float) -> tuple[bool, bool, bool]:
-    """(finite, Hermitian, positive) verdicts on the square M from one walk over
-    its connected blocks, outside which M and M^H are zero: no inf or nan (else
-    all False); max |M - M^H| <= herm_tol; and, for Hermitian M, every block plus
-    psd_tol*I has a Cholesky factor (one batched factorization per size)."""
+    """_stack_verdicts of the square M from one walk over its connected blocks,
+    outside which M and M^H are zero."""
+    return _stack_verdicts((stack for _, stack in _pattern_blocks(M)), herm_tol, psd_tol)
+
+
+def _stack_verdicts(stacks, herm_tol: float, psd_tol: float) -> tuple[bool, bool, bool]:
+    """(finite, Hermitian, positive) verdicts on a matrix given as the (count,
+    size, size) stacks of its connected blocks, zero outside them: no inf or
+    nan (else all False); max |M - M^H| <= herm_tol; and, for Hermitian M, every
+    block plus psd_tol*I has a Cholesky factor (one batched factorization per stack)."""
     hermitian = positive = True
-    for _, stack in _pattern_blocks(M):
+    for stack in stacks:
         if not np.isfinite(stack).all():
             return False, False, False
         if hermitian and np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) > herm_tol:
@@ -179,6 +177,20 @@ def _density_verdicts(M: np.ndarray, herm_tol: float, psd_tol: float) -> tuple[b
             except np.linalg.LinAlgError:
                 positive = False
     return True, hermitian, positive
+
+
+def _require_density(verdicts: tuple[bool, bool, bool], trace: float, who: str) -> None:
+    """Raise ConsistencyError on the first failed check, in the order
+    finite, Hermitian, unit trace (within 1e-10), positive."""
+    finite, hermitian, positive = verdicts
+    if not finite:
+        raise ConsistencyError(f"{who} has a non-finite entry")
+    if not hermitian:
+        raise ConsistencyError(f"{who} is not Hermitian")
+    if abs(trace - 1.0) > 1e-10:
+        raise ConsistencyError(f"{who} trace differs from one")
+    if not positive:
+        raise ConsistencyError(f"{who} has a negative eigenvalue")
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +234,21 @@ def _guard_dense(group: Group, copies: int) -> None:
     )
 
 
-def _single_copy_dense(group: Group, s: int) -> np.ndarray:
-    """[[I, R(s)], [R(s^-1), I]] / (2|G|) written as its 4|G| nonzeros:
+def _single_copy_positions(group: Group, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the 4|G| nonzeros of [[I, R(s)], [R(s^-1), I]]:
     R(s) holds (g s^-1, g) and R(s^-1) holds (g s, g)."""
     N = group.order
     g = np.arange(N)
     rows = np.concatenate([g, N + g, group.translate(group.inverse(s)), N + group.translate(s)])
     cols = np.concatenate([g, N + g, N + g, g])
+    return rows, cols
+
+
+def _single_copy_dense(group: Group, s: int) -> np.ndarray:
+    """[[I, R(s)], [R(s^-1), I]] / (2|G|) written as its 4|G| nonzeros."""
+    N = group.order
     out = np.zeros((2 * N, 2 * N))
-    out[rows, cols] = 1.0 / (2.0 * N)
+    out[_single_copy_positions(group, s)] = 1.0 / (2.0 * N)
     return out
 
 
@@ -388,11 +406,12 @@ def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int 
     return out
 
 
-def _exponent_grid(k: int) -> np.ndarray:
-    """(2^k, 2^k, k) int array whose (x, y) entry is y - x, for the bit tuples
-    x and y in product((0, 1)) order: the exponents of cell (x, y) of a block."""
-    bits = np.array(list(product((0, 1), repeat=k)), dtype=np.int64).reshape(2 ** k, k)
-    return bits[None, :, :] - bits[:, None, :]
+def _bit_tuples(k: int) -> np.ndarray:
+    """(2^k, k) int array of the bit tuples in product((0, 1)) order. Cell
+    (x, y) of a block has exponents y - x, so any integer-linear function of
+    them is f(y) - f(x) with f = _bit_tuples(k) @ coefficients, and the
+    k 4^k exponents never need to exist at once."""
+    return np.array(list(product((0, 1), repeat=k)), dtype=np.int64).reshape(2 ** k, k)
 
 
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
@@ -441,8 +460,10 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
             parts[zi] = avg
         else:
             _pad_identity(parts[zi], dims, z, avg)
-    # cell (x, y) of the block is the part with exponents y - x
-    cells = (_exponent_grid(k) + 1) @ 3 ** np.arange(k - 1, -1, -1)
+    # cell (x, y) of the block is the part with exponents y - x, at index
+    # sum_j (y_j - x_j + 1) 3^(k-1-j) in patterns
+    f = _bit_tuples(k) @ 3 ** np.arange(k - 1, -1, -1)
+    cells = f[None, :] - f[:, None] + (3 ** k - 1) // 2
     B = parts[cells].transpose(0, 2, 1, 3).reshape(dim, dim)
     return Block(labels, B, D)
 
@@ -640,7 +661,7 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
     block over BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
 
     Each irrep multiset costs its eigensolve (2^k D)^3, MULTISET_WORK and
-    GRID_ENTRY_WORK per entry of the k 4^k exponent grid. A block that
+    GRID_ENTRY_WORK per exponent of its 4^k block cells (k each). A block that
     _build_block assembles (not abelian) adds PATTERN_STEP_WORK per pattern
     and |G| D_S^2 per average over three or more nonzero factors S, in all
     prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The sum runs over
@@ -718,11 +739,13 @@ def _multiset_spectra(group: Group, copies: int, shift: int | None):
         phase = (freqs * group.rows[shift] % moduli / moduli).sum(axis=1)
         table = np.exp(2j * np.pi * phase)
     combos = np.array(list(combinations_with_replacement(range(len(reps)), k)), dtype=np.int64)
-    z = _exponent_grid(k).reshape(4 ** k, k)
+    bits = _bit_tuples(k)
     step = max(1, RANK_CHUNK_CELLS // 4 ** k)
     for start in range(0, len(combos), step):
         chunk = combos[start : start + step]
-        v = z @ freqs[chunk] % moduli
+        f = bits @ freqs[chunk]
+        v = f[:, None] - f[:, :, None]  # cell (x, y): sum_j (y_j - x_j) w_j
+        v %= moduli
         cells = np.ravel_multi_index(tuple(np.moveaxis(v, -1, 0)), group.moduli)
         spectra = np.linalg.eigvalsh(table[cells].reshape(-1, 2 ** k, 2 ** k))
         for row, w in zip(chunk.tolist(), spectra):

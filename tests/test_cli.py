@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hslab.cli
+import hslab.iso
 import hslab.subset_sums
 from hslab.groups import symmetric_group
 from hslab.irrep_cache import read_cache
@@ -373,8 +374,9 @@ def test_iso_inline_unrelated_pair():
 
 @pytest.mark.parametrize("isomorphic", [True, False])
 def test_iso_peak_is_two_dense_states(capsys, isomorphic):
-    # the S6 oracle state and its reference are the 1440 x 1440 float64
-    # matrices iso has to hold; the checks and the deviation add none
+    # iso checks the S6 oracle state one all-ones block per oracle value and
+    # compares it with its reference at their 4|G| or 2|G| nonzeros, so it
+    # holds no 1440 x 1440 matrix: a quarter of one is already far above its peak
     A, B = rigid_corpus(6, 2)
     second = graph_act((3, 5, 0, 4, 1, 2), A if isomorphic else B)
     first, second = (format_graph(g).replace("\n", ";") for g in (A, second))
@@ -387,7 +389,15 @@ def test_iso_peak_is_two_dense_states(capsys, isomorphic):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["isomorphic"], payload["state_dimension"]) == (isomorphic, 1440)
     assert payload["state_max_abs_deviation"] == 0.0
-    assert peak < 2.5 * 8 * 1440 ** 2
+    assert peak < 0.25 * 8 * 1440 ** 2
+
+
+def test_iso_wrong_shift_exits_4(monkeypatch, capsys):
+    found = hslab.iso.find_shift_bruteforce
+    monkeypatch.setattr(hslab.iso, "find_shift_bruteforce", lambda pair: (found(pair) + 1) % pair.group.order)
+    assert hslab.cli.main(["iso", "--inline", "--first", TRIANGLE, "--second", RELABELED]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "ConsistencyError", "message": "oracle state deviates from its reference form"}
 
 
 def test_iso_missing_file(tmp_path):

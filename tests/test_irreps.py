@@ -130,11 +130,39 @@ def queue_bfs_stack(rep):
     return stack
 
 
+def level_bfs_stack(rep):
+    """Reference build: the per-irrep level-by-level search, one batched
+    product per generator and level, as it ran before the search order was
+    shared by the irreps of a group."""
+    G = rep.group
+    gens, gen_idx = rep._generators()
+    right = np.array([G.translate(s) for s in gen_idx], dtype=np.int64).reshape(-1, G.order)
+    stack = np.zeros((G.order, rep.dim, rep.dim))
+    stack[0] = np.eye(rep.dim)
+    done = np.zeros(G.order, dtype=bool)
+    done[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    while level.size:
+        reached = right[:, level].T.ravel()
+        fresh = np.flatnonzero(~done[reached])
+        _, first = np.unique(reached[fresh], return_index=True)
+        pairs = fresh[np.sort(first)]
+        parents, gen = level[pairs // len(gens)], pairs % len(gens)
+        level = reached[pairs]
+        done[level] = True
+        for i, M in enumerate(gens):
+            pick = gen == i
+            stack[level[pick]] = stack[parents[pick]] @ M
+    assert done.all()
+    return stack
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_stacks_match_queue_bfs(n):
     for rep in irreps(symmetric_group(n)):
         built = Irrep(rep.group, rep.label, rep.dim).stack()
         assert built.tobytes() == queue_bfs_stack(rep).tobytes()
+        assert built.tobytes() == level_bfs_stack(rep).tobytes()
     if n == 1:
         assert built.tolist() == [[[1.0]]]
 

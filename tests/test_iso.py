@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import hslab.iso as hslab_iso
+
 from hslab.errors import CapacityError, ConsistencyError, DomainError
 from hslab.groups import compose_perms, symmetric_group
 from hslab.iso import (
     Graph,
     ShiftOraclePair,
+    _oracle_blocks,
     are_isomorphic,
     automorphism_witness,
+    check_oracle_state,
     find_shift_bruteforce,
     format_graph,
     graph,
@@ -21,7 +25,13 @@ from hslab.iso import (
     rigid_survey,
     states_from_oracles,
 )
-from hslab.states import maximally_mixed_state, shift_state_dense
+from hslab.states import (
+    _density_verdicts,
+    _pattern_blocks,
+    _stack_verdicts,
+    maximally_mixed_state,
+    shift_state_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +271,105 @@ def test_oracle_state_six_vertices():
     state = states_from_oracles(pair)
     reference = shift_state_dense(G, G.inverse(s))
     assert np.max(np.abs(state.dense - reference.dense)) < 1e-12
+
+
+def _ix_oracle_state(pair, copies):
+    """states_from_oracles as first written: np.ix_ adds per oracle value."""
+    N = pair.group.order
+    positions = {}
+    for g, y in enumerate(pair.outputs_first):
+        positions.setdefault(y, []).append(g)
+    for g, y in enumerate(pair.outputs_second):
+        positions.setdefault(y, []).append(N + g)
+    M = np.zeros((2 * N, 2 * N))
+    for pos in positions.values():
+        M[np.ix_(pos, pos)] += 1.0
+    M /= 2 * N
+    dense = M
+    for _ in range(copies - 1):
+        dense = np.kron(dense, M)
+    return dense
+
+
+def _dense_reference(G, shift):
+    """The dense reference state of the iso check."""
+    if shift is None:
+        return maximally_mixed_state(G, 1, form="dense").dense
+    return shift_state_dense(G, G.inverse(shift), 1).dense
+
+
+def _iso_check_pairs():
+    """Every rigid_corpus(6, 8) graph against a seeded relabeling and against
+    its first non-isomorphic partner in the corpus, then a coloured S3 pair
+    both ways."""
+    G = symmetric_group(6)
+    corpus = rigid_corpus(6, 8)
+    rng = np.random.default_rng(6)
+    for A in corpus:
+        yield make_shift_oracles(A, graph_act(G.perm(int(rng.integers(G.order))), A))
+        partner = next(B for B in corpus if are_isomorphic(A, B) is None)
+        yield make_shift_oracles(A, partner)
+    S3 = symmetric_group(3)
+    A = colored_triangle([0, 1, 2])
+    yield make_shift_oracles(A, graph_act(S3.perm(4), A))
+    yield make_shift_oracles(A, graph(3, [(0, 1)], colors=[0, 1, 2]))
+
+
+def test_oracle_state_check_matches_dense_path():
+    kinds = []
+    for pair in _iso_check_pairs():
+        G = pair.group
+        shift = find_shift_bruteforce(pair)
+        kinds.append(shift is None)
+        dense = states_from_oracles(pair).dense
+        assert dense.tobytes() == _ix_oracle_state(pair, 1).tobytes()
+        blocks = _oracle_blocks(pair)
+        for (index, stack), (dense_index, dense_stack) in zip(blocks, _pattern_blocks(dense), strict=True):
+            assert np.array_equal(index, dense_index)
+            assert stack.tobytes() == dense_stack.tobytes()
+        assert _stack_verdicts((s for _, s in blocks), 1e-12, 1e-10) == _density_verdicts(dense, 1e-12, 1e-10)
+        trace, deviation = check_oracle_state(pair, shift)
+        assert trace == np.trace(dense).real
+        assert deviation == float(np.max(np.abs(dense - _dense_reference(G, shift)))) == 0.0
+        # a wrong reference shows the same nonzero deviation both ways
+        for wrong in ({None, 0, 1} - {shift}):
+            expected = float(np.max(np.abs(dense - _dense_reference(G, wrong))))
+            assert check_oracle_state(pair, wrong)[1] == expected > 0
+    assert kinds.count(True) == kinds.count(False) == 9
+
+
+def test_oracle_state_matches_ix_build_at_two_copies():
+    A = colored_triangle([0, 1, 2])
+    G = symmetric_group(3)
+    for partner in (graph_act(G.perm(4), A), graph(3, [(0, 1)], colors=[0, 1, 2])):
+        pair = make_shift_oracles(A, partner)
+        for copies in (1, 2):
+            want = _ix_oracle_state(pair, copies)
+            assert states_from_oracles(pair, copies).dense.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 0, 1): 0.25}, "is not Hermitian"),
+        ({(0, 0, 0): np.nan}, "has a non-finite entry"),
+        ({(0, 0, 0): 0.5}, "trace differs from one"),
+        ({(0, 0, 1): 0.5, (0, 1, 0): 0.5}, "has a negative eigenvalue"),
+    ],
+)
+def test_oracle_state_check_refuses_a_bad_block(monkeypatch, entries, message):
+    A = colored_triangle([0, 1, 2])
+    pair = make_shift_oracles(A, graph_act(symmetric_group(3).perm(4), A))
+    blocks = _oracle_blocks(pair)
+    for entry, value in entries.items():
+        blocks[0][1][entry] = value
+    dense = np.zeros((12, 12))
+    for index, stack in blocks:
+        dense[index[:, :, None], index[:, None, :]] = stack
+    assert _stack_verdicts((s for _, s in blocks), 1e-12, 1e-10) == _density_verdicts(dense, 1e-12, 1e-10)
+    monkeypatch.setattr(hslab_iso, "_oracle_blocks", lambda _: blocks)
+    with pytest.raises(ConsistencyError, match=f"oracle state {message}"):
+        check_oracle_state(pair, find_shift_bruteforce(pair))
 
 
 def test_oracle_state_capacity_and_domain_errors():

@@ -729,15 +729,35 @@ ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
 
 @pytest.mark.parametrize("name", ABELIAN_TO_16)
 def test_abelian_rank_matches_scan_and_counting(name):
+    # the averaged rank at every k the multiset guard admits (4 for Z16, 10
+    # for Z1); the oracle scan and the fixed shifts, which take seconds
+    # beyond 512 tuples or three copies, up to k = 3
     G = parse_group(name)
-    for k in (1, 2, 3):
+    k = 1
+    while k <= 3 or _admitted(G, k):
         rank = state_rank(G, k)
         assert rank == subset_sum_rank(G, k)
-        # the oracle scan takes seconds beyond 512 tuples (Z16 k=3 has 4096)
-        if G.order ** k <= 512:
+        if k <= 3 and G.order ** k <= 512:
             assert rank == _oracle_scan_rank(G, k)
-        for shift in dict.fromkeys((1 % G.order, G.order - 1)):
+        for shift in dict.fromkeys((1 % G.order, G.order - 1)) if k <= 3 else ():
             assert state_rank(G, k, shift) == G.order ** k
+        k += 1
+
+
+def _admitted(G, k):
+    try:
+        _guard_multiset_scan(G, k)
+    except CapacityError:
+        return False
+    return True
+
+
+def test_ten_copy_rank_holds_no_exponent_grid():
+    # the k 4^k int64 exponents of the one 1024 x 1024 block would take
+    # 84 MB: the cell indices must come from the 2^k bit tuples
+    rank, peak = _peak_of(lambda: state_rank(parse_group("Z1"), 10))
+    assert rank == subset_sum_rank(parse_group("Z1"), 10) == 1
+    assert peak < 30 * 2 ** 20
 
 
 @pytest.mark.parametrize(
