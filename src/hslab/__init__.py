@@ -24,13 +24,10 @@ from .groups import (
 from .irreps import (
     FourierTransform,
     Irrep,
-    average_rep,
-    average_rep_antirep,
     fourier,
     irreps,
     plancherel,
     regular_rep,
-    trivial_irrep,
 )
 from .states import (
     Block,
@@ -42,7 +39,6 @@ from .states import (
     interior_eigenvalue_check,
     maximally_mixed_state,
     one_copy_state,
-    power_block,
     rank_closed_form,
     shift_state_dense,
     spectrum,

@@ -130,11 +130,19 @@ def _emit(args, rows: list[dict], config: dict, extra: dict | None = None) -> No
         else:
             _write_json(stream, payload)
 
-    if args.out:
+    _write_out(args, write)
+
+
+def _write_out(args, write) -> None:
+    """Call write on the --out file, or on stdout when there is none."""
+    if not args.out:
+        write(sys.stdout)
+        return
+    try:
         with open(args.out, "w", newline="") as fh:
             write(fh)
-    else:
-        write(sys.stdout)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file: {exc}") from exc
 
 
 def _load_group(args) -> Group:
@@ -360,11 +368,7 @@ def _cmd_iso(args) -> int:
         "state_max_abs_deviation": deviation,
     }
     config = {"command": "iso", "first": args.first, "second": args.second}
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _write_json(fh, {"version": VERSION, "config": config, **payload})
-    else:
-        _write_json(sys.stdout, {"version": VERSION, "config": config, **payload})
+    _write_out(args, lambda fh: _write_json(fh, {"version": VERSION, "config": config, **payload}))
     return 0
 
 

@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import CapacityError, ConsistencyError
 from .groups import Group, adjacent_transposition_word, partitions
 
 _EAGER_STACK_ORDER = 1024
@@ -310,10 +310,6 @@ def _sync_cache(
         pass
 
 
-def trivial_irrep(group: Group) -> Irrep:
-    return irreps(group)[0]
-
-
 def plancherel(group: Group) -> dict[tuple, Fraction]:
     """Exact distribution assigning each irrep label probability d^2/|G|."""
     dist = {r.label: Fraction(r.dim * r.dim, group.order) for r in irreps(group)}
@@ -410,43 +406,9 @@ def _validate_fourier(ft: FourierTransform, reps: tuple[Irrep, ...]) -> None:
             )
 
 
-# ---------------------------------------------------------------------------
-# group averages
-
-
-def average_rep(stack: np.ndarray) -> np.ndarray:
-    """Group average (1/|G|) sum_g pi(g) of a matrix representation stack.
-
-    For a homomorphism stack this is the orthogonal projector onto the
-    invariant subspace; its rank is the multiplicity of the trivial irrep.
-    """
-    return np.asarray(stack).mean(axis=0)
-
-
-def average_rep_antirep(rep1: Irrep, rep2: Irrep) -> np.ndarray:
-    """Group average of rho(g) (x) sigma(g^-1) for two irreps of one group."""
-    if rep1.group != rep2.group:
-        raise DomainError("irreps must belong to the same group")
-    inv = rep1.group.inverse_vector()
-    s1 = rep1.stack()
-    s2 = rep2.stack()[inv]
-    return kron_stack(s1, s2).mean(axis=0)
-
-
 def kron_stack(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Elementwise Kronecker product of two stacks of matrices."""
     n, d1, e1 = s1.shape
     _, d2, e2 = s2.shape
     out = np.einsum("gij,gkl->gikjl", s1, s2)
     return out.reshape(n, d1 * d2, e1 * e2)
-
-
-def trivial_multiplicity(stack: np.ndarray, tol: float = 1e-8) -> int:
-    """Multiplicity of the trivial irrep in a unitary representation stack."""
-    avg = average_rep(stack)
-    if np.max(np.abs(avg @ avg - avg)) > tol:
-        raise ConsistencyError("group average is not idempotent; stack is not a homomorphism")
-    mult = float(np.trace(avg).real)
-    if abs(mult - round(mult)) > tol:
-        raise ConsistencyError("projector trace is not close to an integer")
-    return int(round(mult))

@@ -373,39 +373,6 @@ def _pad_identity(out: np.ndarray, dims: list[int], exponents, avg: np.ndarray) 
     diagonal[...] = avg.reshape(nz_dims * 2 + [1] * (len(dims) - len(nz_dims)))
 
 
-def power_block(reps: tuple[Irrep, ...], exponents: tuple[int, ...], shift: int | None = None) -> np.ndarray:
-    """Tensor product over copies of rho_j evaluated at shift^exponents[j].
-
-    exponents entries must be -1, 0 or 1. With shift=None the product is
-    averaged over the whole group (single joint average, not a product of
-    averages). The averaged matrix A_z satisfies A_z^dagger = A_{-z} and,
-    because s -> s^-1 is a bijection, also A_z = A_{-z}.
-    """
-    if len(reps) != len(exponents):
-        raise DomainError("one exponent per irrep is required")
-    if any(e not in (-1, 0, 1) for e in exponents):
-        raise DomainError("exponents must be -1, 0 or 1")
-    group = _check_reps(reps)
-    if shift is not None:
-        group.check_index(shift)
-        mats = []
-        for r, e in zip(reps, exponents):
-            if e == 0:
-                mats.append(np.eye(r.dim))
-            elif e == 1:
-                mats.append(r.matrix(shift))
-            else:
-                mats.append(r.matrix(group.inverse(shift)))
-        return reduce(np.kron, mats)
-    dims = [r.dim for r in reps]
-    _guard_average(group, prod(dims))
-    nz = [j for j, e in enumerate(exponents) if e]
-    avg = _average_product([reps[j] for j in nz], [exponents[j] for j in nz])
-    out = np.zeros((prod(dims), prod(dims)), dtype=avg.dtype)
-    _pad_identity(out, dims, exponents, avg)
-    return out
-
-
 def _bit_tuples(k: int) -> np.ndarray:
     """(2^k, k) int array of the bit tuples in product((0, 1)) order. Cell
     (x, y) of a block has exponents y - x, so any integer-linear function of

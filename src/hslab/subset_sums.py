@@ -62,9 +62,6 @@ class SubsetSumTable:
         self.group.check_index(w)
         return int(self.counts[self.row_index(x), w])
 
-    def row(self, x: tuple[int, ...]) -> np.ndarray:
-        return self.counts[self.row_index(x)].copy()
-
     def rank(self) -> int:
         """Number of (x, w) pairs with at least one solution."""
         return int(np.count_nonzero(self.counts))

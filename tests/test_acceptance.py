@@ -18,7 +18,7 @@ from hslab.groups import (
     abelian_subgroup_of_symmetric,
     symmetric_group,
 )
-from hslab.irreps import fourier, irreps, plancherel, regular_rep
+from hslab.irreps import fourier, irreps, kron_stack, plancherel, regular_rep
 from hslab.iso import (
     are_isomorphic,
     find_shift_bruteforce,
@@ -43,7 +43,6 @@ from hslab.states import (
     block_shift_state,
     interior_eigenvalue_check,
     maximally_mixed_state,
-    power_block,
     rank_closed_form,
     shift_state_dense,
     state_block,
@@ -170,7 +169,7 @@ def test_04_two_copy_same_irrep_patterns(acceptance_report):
         for rep in irreps(G):
             if rep.is_trivial:
                 continue
-            avg = power_block((rep, rep), (1, 1), None)
+            avg = kron_stack(rep.stack(), rep.stack()).mean(axis=0)
             rank = int(np.linalg.matrix_rank(avg, tol=1e-8))
             trace = int(round(float(np.trace(avg).real)))
             block = state_block((rep, rep), None)

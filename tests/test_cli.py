@@ -433,6 +433,37 @@ def test_iso_file_not_utf8(tmp_path):
     assert error["message"].startswith("cannot read graph file")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rank", "--group", "S3"), ("iso", "--inline", "--first", TRIANGLE, "--second", RELABELED)],
+    ids=["rank", "iso"],
+)
+def test_unwritable_out_exits_2(tmp_path, argv):
+    proc = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.csv"), check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith("cannot write output file: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [("sweep", "--group", "S3"), ("variance-bound", "--group", "S4")], ids=["sweep", "variance-bound"]
+)
+def test_absurd_outcome_counts_exit_3(capsys, argv):
+    # a billion outcomes would need hundreds of GiB per trial; the guard
+    # prices that before the first draw
+    tracemalloc.start()
+    try:
+        code = hslab.cli.main([*argv, "--outcomes", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "CapacityError"
+    assert peak < 10 * 2 ** 20
+
+
 def test_iso_non_rigid_input():
     proc = run_cli(
         "iso", "--inline", "--first", "3;1 2;2 3", "--second", "3;1 2;2 3", check=False,

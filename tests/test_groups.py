@@ -10,15 +10,12 @@ from hslab.groups import (
     abelian_group,
     abelian_subgroup_of_abelian,
     abelian_subgroup_of_symmetric,
-    compose_perms,
-    invert_perm,
     largest_abelian_order,
     parse_group,
     partitions,
-    perm_rank,
-    perm_unrank,
     symmetric_group,
 )
+from oracles import compose_perms, invert_perm, perm_rank, perm_unrank
 
 SMALL_GROUPS = [
     symmetric_group(1),

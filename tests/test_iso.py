@@ -6,7 +6,7 @@ import pytest
 import hslab.iso as hslab_iso
 
 from hslab.errors import CapacityError, ConsistencyError, DomainError
-from hslab.groups import compose_perms, symmetric_group
+from hslab.groups import symmetric_group
 from hslab.iso import (
     Graph,
     ShiftOraclePair,
@@ -32,6 +32,7 @@ from hslab.states import (
     maximally_mixed_state,
     shift_state_dense,
 )
+from oracles import compose_perms
 
 
 # ---------------------------------------------------------------------------

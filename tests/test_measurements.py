@@ -1,14 +1,20 @@
 """Discrimination, POVM machinery, weak sampling, and sweep reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hslab.errors import ConsistencyError, DomainError
-from hslab.groups import abelian_group, symmetric_group
+import hslab.measurements
+from hslab.errors import CapacityError, ConsistencyError, DomainError
+from hslab.groups import abelian_group, parse_group, symmetric_group
 from hslab.irreps import irreps
 from hslab.measurements import (
     Povm,
     _check_density,
+    _guard_outcomes,
+    _random_rank_one,
+    _stream,
     helstrom,
     indistinguishability_sweep,
     random_povm,
@@ -550,3 +556,27 @@ def test_sweep_respects_outcome_override():
     assert all(0 <= s.shift_index < G.order for s in report.samples)
     with pytest.raises(DomainError):
         indistinguishability_sweep(G, trials=0, seed=9)
+
+
+@pytest.mark.parametrize("name", ["Z2", "S3", "S4", "Z16"])
+def test_outcome_guard_prices_one_trial_from_above(monkeypatch, name):
+    # a budget just under one trial's measured peak refuses it, and one 6%
+    # above the peak admits it: the price is an upper bound, and a close one
+    G, m = parse_group(name), 20000
+
+    def trial(rep):
+        weighted_variance_sum(rep, _random_rank_one(_stream(0, 0), 2 * rep.dim, m))
+
+    for rep in irreps(G)[1:]:
+        trial(rep)  # the stack, and what a first call allocates once
+        tracemalloc.start()
+        try:
+            trial(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(hslab.measurements, "POVM_BYTES_LIMIT", peak - 1)
+        with pytest.raises(CapacityError, match=f"{m} outcomes on a {2 * rep.dim}-dimensional block"):
+            _guard_outcomes(G, [rep], m)
+        monkeypatch.setattr(hslab.measurements, "POVM_BYTES_LIMIT", int(1.06 * peak))
+        _guard_outcomes(G, [rep], m)

@@ -45,7 +45,6 @@ from hslab.states import (
     interior_eigenvalue_check,
     maximally_mixed_state,
     one_copy_state,
-    power_block,
     rank_closed_form,
     shift_pair_vector,
     shift_state_dense,
@@ -206,7 +205,7 @@ def test_two_copy_same_irrep_patterns_symmetric():
         for rep in irreps(G):
             if rep.is_trivial:
                 continue
-            avg_kron = power_block((rep, rep), (1, 1), None)
+            avg_kron = kron_stack(rep.stack(), rep.stack()).mean(axis=0)
             coupled = np.linalg.matrix_rank(avg_kron, tol=1e-10)
             assert coupled == 1
             w = np.linalg.eigvalsh(state_block((rep, rep), None).matrix)
@@ -217,7 +216,7 @@ def test_two_copy_same_irrep_pattern_abelian_uncoupled():
     # order-4 character of Z4: chi^2 is nontrivial, so no coupling
     G = abelian_group(4)
     rep = irreps(G)[1]
-    avg_kron = power_block((rep, rep), (1, 1), None)
+    avg_kron = kron_stack(rep.stack(), rep.stack()).mean(axis=0)
     assert np.max(np.abs(avg_kron)) < 1e-12
     w = np.linalg.eigvalsh(state_block((rep, rep), None).matrix)
     assert _clustered(w) == expected_two_copy_pattern(1, False)
@@ -579,9 +578,11 @@ def test_capacity_guards():
         spectrum_rows(symmetric_group(6), 2)
     with pytest.raises(CapacityError):
         interior_eigenvalue_check(symmetric_group(6), 3)
-    big = [r for r in irreps(symmetric_group(6)) if r.dim == 16]
-    with pytest.raises(CapacityError):
-        power_block((big[0], big[0], big[0]), (1, 1, 1), None)
+    # the 90-dimensional irrep of S8 passes the block size limit (a 180 x 180
+    # block) but not the budget of the 40320-element average it needs
+    big = next(r for r in irreps(symmetric_group(8)) if r.dim == 90)
+    with pytest.raises(CapacityError, match="averaging a 90-dimensional product over 40320 elements"):
+        state_block((big,), None)
 
 
 def test_spectrum_rows_contents():
@@ -706,18 +707,6 @@ def test_block_build_matches_power_block_assembly(name, k):
             for value, mult in spectrum(want).clusters
         ]
         assert spectrum_rows(G, k, shift) == expected
-
-
-@pytest.mark.parametrize("name,k", [("S3", 3), ("S4", 2), ("Z4", 2), ("Z2xZ4", 2)])
-def test_power_block_matches_oracle(name, k):
-    G = parse_group(name)
-    for reps in product(irreps(G), repeat=k):
-        for z in product((-1, 0, 1), repeat=k):
-            for shift in (None, 1, G.order - 1):
-                got = power_block(reps, z, shift)
-                want = _oracle_power_block(reps, z, shift)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
 
 
 # every abelian group of order at most 16, up to isomorphism
