@@ -61,11 +61,13 @@ class HelstromResult:
         return np.eye(len(e1)) - e1
 
 
-def _check_density(M: np.ndarray, who: str) -> np.ndarray:
+def _check_density(M: np.ndarray, who: str, psd_tol: float | None = 1e-8) -> np.ndarray:
+    """Raise DomainError on the first failed check: square, finite, Hermitian,
+    unit trace, then (unless psd_tol is None) no eigenvalue below -psd_tol."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"{who} must be a square matrix")
-    finite, hermitian, positive = _density_verdicts(M, 1e-10, 1e-8)
+    finite, hermitian, positive = _density_verdicts(M, 1e-10, psd_tol)
     if not finite:
         raise DomainError(f"{who} must have finite entries")
     if not hermitian:
@@ -77,6 +79,21 @@ def _check_density(M: np.ndarray, who: str) -> np.ndarray:
     return M
 
 
+def _unit_scalar(M, other) -> float | None:
+    """c when M is a real array c I with unit trace and the shape of the array
+    other, else None. Such an M passes every check of _check_density."""
+    if not (isinstance(M, np.ndarray) and isinstance(other, np.ndarray)):
+        return None
+    if M.dtype.kind != "f" or M.ndim != 2 or M.shape != other.shape or M.shape[0] != M.shape[1]:
+        return None
+    if not abs(np.trace(M) - 1.0) <= 1e-8:
+        return None
+    c = M[0, 0]
+    if not (np.diagonal(M) == c).all() or np.count_nonzero(M) != len(M):
+        return None
+    return float(c)
+
+
 def helstrom(rho_first: np.ndarray, rho_second: np.ndarray) -> HelstromResult:
     """Measure the positive part of the difference of two density matrices.
 
@@ -85,13 +102,25 @@ def helstrom(rho_first: np.ndarray, rho_second: np.ndarray) -> HelstromResult:
     Only the eigenvalues w of D are computed, one connected block of D at a
     time: the trace norm is sum |w| and the equal-prior success
     (tr e1 rho_first + tr e2 rho_second) / 2 is (tr rho_second + sum_{w > 1e-10} w) / 2.
+
+    When one state is c I (real, unit trace, the other's shape), it passes
+    every check, and the other state's eigenvalues are c + w (c - w when
+    c I comes first): its positivity is read from w, with the same -1e-8
+    threshold, instead of from a Cholesky factorization. The checks run and
+    fail in the same order either way.
     """
-    r1 = _check_density(rho_first, "first state")
-    r2 = _check_density(rho_second, "second state")
+    c_second = _unit_scalar(rho_second, rho_first)
+    c_first = None if c_second is not None else _unit_scalar(rho_first, rho_second)
+    r1 = _check_density(rho_first, "first state", None if c_second is not None else 1e-8)
+    r2 = _check_density(rho_second, "second state", None if c_first is not None else 1e-8)
     if r1.shape != r2.shape:
         raise DomainError("states must share one dimension")
     D = r1 - r2
     w = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in _pattern_blocks(D)])
+    if c_second is not None and c_second + w.min() <= -1e-8:
+        raise DomainError("first state must be positive semidefinite")
+    if c_first is not None and c_first - w.max() <= -1e-8:
+        raise DomainError("second state must be positive semidefinite")
     success = 0.5 * (np.trace(r2).real + w[w > 1e-10].sum())
     return HelstromResult(D, float(success), float(np.abs(w).sum()))
 

@@ -152,24 +152,25 @@ def _pattern_blocks(M: np.ndarray):
         yield index, M[index[:, :, None], index[:, None, :]]
 
 
-def _density_verdicts(M: np.ndarray, herm_tol: float, psd_tol: float) -> tuple[bool, bool, bool]:
+def _density_verdicts(M: np.ndarray, herm_tol: float, psd_tol: float | None) -> tuple[bool, bool, bool]:
     """_stack_verdicts of the square M from one walk over its connected blocks,
     outside which M and M^H are zero."""
     return _stack_verdicts((stack for _, stack in _pattern_blocks(M)), herm_tol, psd_tol)
 
 
-def _stack_verdicts(stacks, herm_tol: float, psd_tol: float) -> tuple[bool, bool, bool]:
+def _stack_verdicts(stacks, herm_tol: float, psd_tol: float | None) -> tuple[bool, bool, bool]:
     """(finite, Hermitian, positive) verdicts on a matrix given as the (count,
     size, size) stacks of its connected blocks, zero outside them: no inf or
     nan (else all False); max |M - M^H| <= herm_tol; and, for Hermitian M, every
-    block plus psd_tol*I has a Cholesky factor (one batched factorization per stack)."""
+    block plus psd_tol*I has a Cholesky factor (one batched factorization per
+    stack). psd_tol None skips the factorizations and reports positive True."""
     hermitian = positive = True
     for stack in stacks:
         if not np.isfinite(stack).all():
             return False, False, False
-        if hermitian and np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) > herm_tol:
+        if hermitian and _max_abs(stack - stack.conj().swapaxes(1, 2)) > herm_tol:
             hermitian = positive = False
-        if positive:
+        if positive and psd_tol is not None:
             shifted = stack.copy()
             np.einsum("...ii->...i", shifted)[...] += psd_tol
             try:
@@ -177,6 +178,11 @@ def _stack_verdicts(stacks, herm_tol: float, psd_tol: float) -> tuple[bool, bool
             except np.linalg.LinAlgError:
                 positive = False
     return True, hermitian, positive
+
+
+def _max_abs(A: np.ndarray) -> float:
+    """max |A|, overwriting A when it is real, so that it costs no second temporary."""
+    return np.max(np.abs(A, out=A) if A.dtype.kind == "f" else np.abs(A))
 
 
 def _require_density(verdicts: tuple[bool, bool, bool], trace: float, who: str) -> None:
@@ -211,8 +217,10 @@ def shift_pair_vector(group: Group, s: int, g: int) -> np.ndarray:
 def _dense_bytes(dim: int) -> int:
     """Estimated peak bytes of building a dense state of dimension dim and
     running helstrom on it against a second one: DENSE_WORKING_MATRICES
-    float64 dim x dim matrices alive at once (both states, the difference,
-    one block of it and the eigensolver's copy, with one to spare)."""
+    float64 dim x dim matrices alive at once. Measured by peak RSS on S3 k=3,
+    helstrom holds about 4.3 against the maximally mixed state (both
+    states, the difference, the eigensolver's copy) and about 5.5 on the
+    Cholesky path (both states, the shifted block, LAPACK's copy, the factor)."""
     return DENSE_WORKING_MATRICES * 8 * dim * dim
 
 
@@ -244,32 +252,47 @@ def _single_copy_positions(group: Group, s: int) -> tuple[np.ndarray, np.ndarray
     return rows, cols
 
 
-def _single_copy_dense(group: Group, s: int) -> np.ndarray:
-    """[[I, R(s)], [R(s^-1), I]] / (2|G|) written as its 4|G| nonzeros."""
-    N = group.order
-    out = np.zeros((2 * N, 2 * N))
-    out[_single_copy_positions(group, s)] = 1.0 / (2.0 * N)
-    return out
+def _kron_nonzeros(group: Group, s: int, copies: int) -> tuple[np.ndarray, float]:
+    """(flat indices, value) of the (4|G|)^k nonzeros of the k-fold Kronecker
+    power of the one-copy state for shift s, in its (2|G|)^k x (2|G|)^k
+    matrix. They all hold ((v v) v)... with v = 1/(2|G|), multiplied in the
+    order of a left-folded Kronecker product."""
+    rows, cols = _single_copy_positions(group, s)
+    n = 2 * group.order
+    R, C, entry = rows, cols, 1.0 / n
+    for _ in range(copies - 1):
+        R = (R[:, None] * n + rows).ravel()
+        C = (C[:, None] * n + cols).ravel()
+        entry *= 1.0 / n
+    return R * n ** copies + C, entry
 
 
 def shift_state_dense(group: Group, s: int, copies: int = 1) -> ShiftState:
-    """Dense k-copy state for a known shift s."""
+    """Dense k-copy state for a known shift s, written as its nonzeros."""
     _guard_dense(group, copies)
     group.check_index(s)
-    single = _single_copy_dense(group, s)
-    dense = reduce(np.kron, [single] * copies)
+    dim = (2 * group.order) ** copies
+    dense = np.zeros((dim, dim))
+    dense.put(*_kron_nonzeros(group, s, copies))
     return ShiftState(group, copies, "fixed", "dense", shift=s, dense=dense)
 
 
 def averaged_shift_state_dense(group: Group, copies: int = 1) -> ShiftState:
-    """Dense k-copy state averaged over a uniformly random shift."""
+    """Dense k-copy state averaged over a uniformly random shift.
+
+    Each shift's nonzeros are added in place, shift by shift, so every entry
+    is the same sequential sum as adding the shifts' dense states; the sum
+    is then divided by |G| in place."""
     _guard_dense(group, copies)
     dim = (2 * group.order) ** copies
     acc = np.zeros((dim, dim))
+    flat = acc.ravel()
     for s in group.elements():
-        single = _single_copy_dense(group, s)
-        acc += reduce(np.kron, [single] * copies)
-    return ShiftState(group, copies, "averaged", "dense", dense=acc / group.order)
+        # the positions of one shift are distinct, so this adds once at each
+        index, entry = _kron_nonzeros(group, s, copies)
+        flat[index] += entry
+    acc /= group.order
+    return ShiftState(group, copies, "averaged", "dense", dense=acc)
 
 
 def _mixed_block_bytes(group: Group, copies: int) -> int:

@@ -1,13 +1,21 @@
-"""Reference permutation arithmetic on one-line tuples, for the tests.
+"""Reference constructions the package's faster ones are checked against.
 
-`Group.rows` is the package's one representation of S_n elements; these
-tuple functions are the independent references its composition, inverse
-and Lehmer-rank indexing are checked against.
+* Permutation arithmetic on one-line tuples. `Group.rows` is the package's
+  one representation of S_n elements; these tuple functions are the
+  independent references its composition, inverse and Lehmer-rank indexing
+  are checked against.
+* Dense k-copy states as Kronecker powers of the one-copy matrix, summed
+  shift by shift for the averaged state; the package writes the same
+  nonzeros straight into one zeroed matrix.
 """
 
+from functools import reduce
 from math import factorial
 
+import numpy as np
+
 from hslab.errors import DomainError
+from hslab.states import _single_copy_positions
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -46,3 +54,26 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
         q, rank = divmod(rank, factorial(n - 1 - i))
         out.append(avail.pop(q))
     return tuple(out)
+
+
+def single_copy_dense(group, s: int) -> np.ndarray:
+    """[[I, R(s)], [R(s^-1), I]] / (2|G|) written as its 4|G| nonzeros."""
+    N = group.order
+    out = np.zeros((2 * N, 2 * N))
+    out[_single_copy_positions(group, s)] = 1.0 / (2.0 * N)
+    return out
+
+
+def shift_state_dense_kron(group, s: int, copies: int) -> np.ndarray:
+    """The dense k-copy state for shift s as a left-folded Kronecker power."""
+    return reduce(np.kron, [single_copy_dense(group, s)] * copies)
+
+
+def averaged_shift_state_dense_kron(group, copies: int) -> np.ndarray:
+    """The dense k-copy averaged state: the Kronecker powers summed over the
+    shifts in index order, then divided by |G|."""
+    dim = (2 * group.order) ** copies
+    acc = np.zeros((dim, dim))
+    for s in group.elements():
+        acc += shift_state_dense_kron(group, s, copies)
+    return acc / group.order

@@ -275,6 +275,86 @@ def test_helstrom_rejects_non_finite_entries():
         helstrom(M, mixed)
 
 
+def _oracle_helstrom_message(r1, r2):
+    """The message helstrom raised as first written, or None: all checks of
+    the first state, then all of the second (square, finite, then
+    _oracle_check_density), then the shapes."""
+    for M, who in ((r1, "first state"), (r2, "second state")):
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            return f"{who} must be a square matrix"
+        if not np.isfinite(M).all():
+            return f"{who} must have finite entries"
+        message = _oracle_check_density(M, who)
+        if message is not None:
+            return message
+    return None if r1.shape == r2.shape else "states must share one dimension"
+
+
+def real_density(dim, lowest, seed):
+    """Seeded random real density whose smallest eigenvalue is `lowest`."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = rng.uniform(0.5, 1.5, dim)
+    w[0] = 0.0
+    w *= (1.0 - lowest) / w.sum()
+    w[0] = lowest
+    M = (Q * w) @ Q.T
+    return (M + M.T) / 2
+
+
+def _scalar_side_cases():
+    """(first, second, whether a side is a unit-trace real c I of the other's
+    shape): non-PSD, near-PSD and flawed states next to such a side, and next
+    to scalar sides that miss one condition."""
+    d = 24
+    scalar = np.eye(d) / d
+    states = []
+    for lowest in (-2e-8, -5e-9):
+        states += [rotated_density(d, lowest, 0), real_density(d, lowest, 1)]
+    flawed = real_density(d, 1e-3, 2)
+    flawed[0, 1] = np.nan
+    states.append(flawed)
+    states.append(real_density(d, 1e-3, 2) + np.triu(np.full((d, d), 1e-6), 1))
+    states.append(1.1 * real_density(d, -2e-8, 3))
+    for M in states:
+        yield M, scalar, True
+        yield scalar, M, True
+        for other in (1.1 * scalar, np.eye(d + 1) / (d + 1), scalar.astype(complex)):
+            yield M, other, False
+            yield other, M, False
+    yield scalar, scalar, True
+    yield scalar.astype(complex), scalar, True
+
+
+def test_scalar_side_positivity_matches_the_cholesky_checks(monkeypatch):
+    tolerances = []
+
+    def spy(M, herm_tol, psd_tol):
+        tolerances.append(psd_tol)
+        return _density_verdicts(M, herm_tol, psd_tol)
+
+    monkeypatch.setattr(hslab.measurements, "_density_verdicts", spy)
+    messages = set()
+    for r1, r2, spectral in _scalar_side_cases():
+        tolerances.clear()
+        try:
+            helstrom(r1, r2)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == _oracle_helstrom_message(r1, r2)
+        # a side is read from the spectrum exactly when the other is c I
+        assert (None in tolerances) == spectral
+        messages.add(got)
+    assert messages == {
+        None, "first state must be positive semidefinite", "second state must be positive semidefinite",
+        "first state must have finite entries", "second state must have finite entries",
+        "first state must be Hermitian", "second state must be Hermitian",
+        "first state must have unit trace", "second state must have unit trace",
+        "states must share one dimension",
+    }
+
+
 def _oracle_helstrom(r1, r2):
     """helstrom as first written: one eigh of the whole difference, the
     first projector from its eigenvectors, the success from projector traces."""

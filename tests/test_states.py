@@ -37,7 +37,6 @@ from hslab.states import (
     _pattern_blocks,
     _scan_blocks,
     _schur_pair_averages,
-    _single_copy_dense,
     averaged_shift_state_dense,
     block_basis_permutation,
     block_shift_state,
@@ -57,6 +56,8 @@ from hslab.states import (
     to_block_basis,
 )
 from hslab.subset_sums import subset_sum_rank
+
+from oracles import averaged_shift_state_dense_kron, shift_state_dense_kron, single_copy_dense
 
 
 def test_shift_pair_vector_entries():
@@ -1075,8 +1076,14 @@ def _oracle_single_copy_dense(group, s):
 def test_dense_builds_match_the_stacked_construction(name):
     G = parse_group(name)
     for s in G.elements():
-        assert _single_copy_dense(G, s).tobytes() == _oracle_single_copy_dense(G, s).tobytes(), s
-    for k in (1, 2):
-        if (2 * G.order) ** k <= 1440:
-            d = (2 * G.order) ** k
-            assert maximally_mixed_state(G, k).dense.tobytes() == (np.eye(d) / d).tobytes()
+        assert single_copy_dense(G, s).tobytes() == _oracle_single_copy_dense(G, s).tobytes(), s
+    for k in (1, 2, 3):
+        d = (2 * G.order) ** k
+        if d > 1728:
+            continue
+        for s in G.elements():
+            got = shift_state_dense(G, s, k).dense
+            assert got.tobytes() == shift_state_dense_kron(G, s, k).tobytes(), (k, s)
+        got = averaged_shift_state_dense(G, k).dense
+        assert got.tobytes() == averaged_shift_state_dense_kron(G, k).tobytes(), k
+        assert maximally_mixed_state(G, k).dense.tobytes() == (np.eye(d) / d).tobytes()
