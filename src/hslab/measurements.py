@@ -163,13 +163,13 @@ class Povm:
 def refine_povm(effects, labels=None) -> Povm:
     """Split arbitrary positive effects into weighted rank-one outcomes.
 
-    Input effects must be Hermitian positive and sum to the identity within
-    1e-8. Each effect is eigendecomposed; eigenvalues above 1e-10 become
+    Input effects must be finite Hermitian positive and sum to the identity
+    within 1e-8. Each effect is eigendecomposed; eigenvalues above 1e-10 become
     outcome weights, largest first, labelled (effect label, slot).
     """
     effects = [np.asarray(E) for E in effects]
-    if not effects:
-        raise DomainError("at least one effect is required")
+    if not effects or any(E.ndim != 2 or not E.size for E in effects):
+        raise DomainError("at least one effect is required, each a nonempty 2-D array")
     d = effects[0].shape[0]
     if labels is None:
         labels = list(range(len(effects)))
@@ -177,8 +177,8 @@ def refine_povm(effects, labels=None) -> Povm:
     for E in effects:
         if E.shape != (d, d):
             raise DomainError("effects must share one dimension")
-        if np.max(np.abs(E - E.conj().T)) > 1e-10:
-            raise DomainError("effects must be Hermitian")
+        if not np.isfinite(E).all() or np.max(np.abs(E - E.conj().T)) > 1e-10:
+            raise DomainError("effects must be finite and Hermitian")
         total += E
     if np.max(np.abs(total - np.eye(d))) > 1e-8:
         raise DomainError("effects must sum to the identity")

@@ -592,16 +592,16 @@ def _report(desc: np.ndarray) -> SpectrumReport:
 def spectrum(M: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a Hermitian matrix in descending order.
 
-    Raises DomainError for non-Hermitian input. The eigendecomposition is
-    verified by reconstruction; eigenvalues within CLUSTER_TOL of each other
-    merge into one multiplicity cluster, and rank counts eigenvalues above
-    1e-8 times the largest magnitude.
+    Raises DomainError for an empty, non-finite or non-Hermitian input. The
+    eigendecomposition is verified by reconstruction; eigenvalues within
+    CLUSTER_TOL of each other merge into one multiplicity cluster, and rank
+    counts eigenvalues above 1e-8 times the largest magnitude.
     """
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("spectrum expects a square matrix")
-    if np.max(np.abs(M - M.conj().T)) > 1e-10:
-        raise DomainError("spectrum expects a Hermitian matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise DomainError("spectrum expects a nonempty square matrix")
+    if not np.isfinite(M).all() or np.max(np.abs(M - M.conj().T)) > 1e-10:
+        raise DomainError("spectrum expects a finite Hermitian matrix")
     w, V = np.linalg.eigh(M)
     recon = (V * w) @ V.conj().T
     if np.max(np.abs(M - recon)) > 1e-9:
@@ -650,25 +650,27 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
     of an n x n eigensolve; CapacityError above MULTISET_WORK_LIMIT. A widest
     block over BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
 
-    Each irrep multiset costs its eigensolve (2^k D)^3, MULTISET_WORK and
-    GRID_ENTRY_WORK per exponent of its 4^k block cells (k each). A block that
-    _build_block assembles (not abelian) adds PATTERN_STEP_WORK per pattern
-    and |G| D_S^2 per average over three or more nonzero factors S, in all
-    prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The sum runs over
-    multisets of dimensions, each standing for prod_d C(n_d + m_d - 1, m_d)
-    irrep multisets (n_d irreps have dimension d, and m_d copies pick it).
+    Each irrep multiset costs MULTISET_WORK plus GRID_ENTRY_WORK per entry of
+    k-tuples: its 2^k bit tuples, which an abelian block counts, or else the
+    exponents of its 4^k cells. A non-abelian block adds its eigensolve
+    (2^k D)^3, PATTERN_STEP_WORK per pattern and |G| D_S^2 per average over
+    three or more nonzero factors S, in all prod(1 + x_j) - 1 - e_1(x) -
+    e_2(x) with x_j = 2 d_j^2. The sum runs over multisets of dimensions,
+    each standing for prod_d C(n_d + m_d - 1, m_d) irrep multisets (n_d
+    irreps have dimension d, and m_d copies pick it).
     """
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     counts = Counter(r.dim for r in irreps(group))
 
     def price(ds):
-        each = ((2 ** copies) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
+        each = MULTISET_WORK + GRID_ENTRY_WORK * copies * (2 if group.is_abelian else 4) ** copies
         if not group.is_abelian:
             x = [2 * d * d for d in ds]
             e1 = sum(x)
             e2 = (e1 * e1 - sum(v * v for v in x)) // 2
-            each += PATTERN_STEP_WORK * 3 ** copies + group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
+            each += ((2 ** copies) * prod(ds)) ** 3 + PATTERN_STEP_WORK * 3 ** copies
+            each += group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
         return prod(comb(counts[d] + m - 1, m) for d, m in Counter(ds).items()) * each
 
     too_large = (
@@ -692,13 +694,14 @@ def _multiset_spectra(group: Group, copies: int, shift: int | None):
     ordering of a multiset has the spectrum of the sorted tuple; the weight
     D k!/prod(m!) counts the D copies of each of its orderings.
 
-    Abelian groups: every irrep is a character, so the (x, y) cell of the
-    block of frequencies (w_1..w_k) is the character chi_v,
-    v = sum_j (y_j - x_j) w_j modulo the moduli, averaged over the group
-    ([v == 0]) or taken at the fixed shift; RANK_CHUNK_CELLS block cells
-    at a time, with one batched eigvalsh each. Other groups: _build_block
-    with one memo for the scan, started from _one_factor_averages and
-    _schur_pair_averages for the averaged state.
+    Abelian groups are counted exactly, in int arrays, RANK_CHUNK_CELLS
+    (multiset, bit tuple) rows at a time. Cell (x, y) of the block of
+    characters (w_1..w_k) is chi_(f(y) - f(x)), f(x) = sum_j x_j w_j. The
+    average is [f(x) == f(y)]: eigenvalues the class sizes of f, each at the
+    end of its run in sorted order, and zeros. At a fixed shift s it is
+    conj(u_x) u_y, u_x = chi_f(x)(s): rank one, eigenvalue 2^k, so s is only
+    index-checked. Other groups: _build_block with one memo for the scan,
+    started from _one_factor_averages and _schur_pair_averages if averaged.
     """
     _guard_multiset_scan(group, copies)
     k = copies
@@ -719,28 +722,25 @@ def _multiset_spectra(group: Group, copies: int, shift: int | None):
         for combo in combinations_with_replacement(reps, k):
             yield combo, weight(combo), np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
         return
-    moduli = np.array(group.moduli, dtype=np.int64)
     freqs = np.array([r.label for r in reps], dtype=np.int64)
-    # table[v]: chi_v averaged over the group, or chi_v(shift); v = 0 is trivial
-    if shift is None:
-        table = np.zeros(group.order)
-        table[0] = 1.0
-    else:
-        phase = (freqs * group.rows[shift] % moduli / moduli).sum(axis=1)
-        table = np.exp(2j * np.pi * phase)
     combos = np.array(list(combinations_with_replacement(range(len(reps)), k)), dtype=np.int64)
     bits = _bit_tuples(k)
-    step = max(1, RANK_CHUNK_CELLS // 4 ** k)
+    at = np.arange(2 ** k)
+    rank_one = np.where(at == 2 ** k - 1, 2 ** k, 0)
+    rank_one.flags.writeable = False
+    step = max(1, RANK_CHUNK_CELLS >> k)
     for start in range(0, len(combos), step):
         chunk = combos[start : start + step]
-        f = bits @ freqs[chunk]
-        v = f[:, None] - f[:, :, None]  # cell (x, y): sum_j (y_j - x_j) w_j
-        v %= moduli
-        cells = np.ravel_multi_index(tuple(np.moveaxis(v, -1, 0)), group.moduli)
-        spectra = np.linalg.eigvalsh(table[cells].reshape(-1, 2 ** k, 2 ** k))
-        for row, w in zip(chunk.tolist(), spectra):
-            combo = tuple(reps[i] for i in row)
-            yield combo, weight(combo), w
+        if shift is None:
+            f = bits @ freqs[chunk] % np.array(group.moduli)
+            f = np.sort(np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli), axis=1)
+            # new[:, j]: a run of equal values starts at j, and one ends at j - 1
+            new = np.diff(f, axis=1, prepend=-1, append=group.order) != 0
+            first = np.maximum.accumulate(np.where(new[:, :-1], at, 0), axis=1)
+            sizes = np.where(new[:, 1:], at + 1 - first, 0)
+        for i, row in enumerate(chunk.tolist()):
+            combo = tuple(reps[j] for j in row)
+            yield combo, weight(combo), rank_one if shift is not None else sizes[i]
 
 
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:

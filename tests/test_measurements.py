@@ -472,6 +472,16 @@ def test_refine_povm_rejects_bad_effects():
         refine_povm([np.eye(2) * 0.7, np.eye(2) * 0.7])  # sums past identity
     with pytest.raises(DomainError):
         refine_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
+    # not 2-D, or empty: no dimension to read
+    for bad in ([np.array(1.0)], [np.ones(2)], [np.eye(2), np.array(0.0)], [np.zeros((0, 0))]):
+        with pytest.raises(DomainError):
+            refine_povm(bad)
+    # nan compares false, so a nan entry would pass the identity-sum check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            refine_povm([np.diag([bad, 1.0]), np.diag([0.0, 0.0])])
+        with pytest.raises(DomainError):
+            refine_povm([np.diag([bad, 1.0])])
 
 
 # ---------------------------------------------------------------------------

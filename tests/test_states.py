@@ -333,6 +333,11 @@ def test_spectrum_report_fields():
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError):
         spectrum(np.zeros((2, 3)))
+    # an empty matrix has no largest eigenvalue, and a nan entry would
+    # report rank 0 without any error
+    for bad in (np.zeros((0, 0)), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
+        with pytest.raises(DomainError):
+            spectrum(bad)
 
 
 def test_state_spectrum_dense_vs_block():
@@ -719,14 +724,18 @@ ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
 
 @pytest.mark.parametrize("name", ABELIAN_TO_16)
 def test_abelian_rank_matches_scan_and_counting(name):
-    # the averaged rank at every k the multiset guard admits (4 for Z16, 10
-    # for Z1); the oracle scan and the fixed shifts, which take seconds
-    # beyond 512 tuples or three copies, up to k = 3
+    # the averaged rank at every k the multiset guard admits (5 for Z16, 12
+    # for Z1), against subset-sum counting wherever its table is admitted;
+    # the oracle scan and the fixed shifts, which take seconds beyond 512
+    # tuples or three copies, up to k = 3
     G = parse_group(name)
     k = 1
     while k <= 3 or _admitted(G, k):
         rank = state_rank(G, k)
-        assert rank == subset_sum_rank(G, k)
+        try:
+            assert rank == subset_sum_rank(G, k)
+        except CapacityError:  # beyond the table's budget, which every k <= 3 fits
+            assert k > 3
         if k <= 3 and G.order ** k <= 512:
             assert rank == _oracle_scan_rank(G, k)
         for shift in dict.fromkeys((1 % G.order, G.order - 1)) if k <= 3 else ():
@@ -750,8 +759,17 @@ def test_ten_copy_rank_holds_no_exponent_grid():
     assert peak < 30 * 2 ** 20
 
 
+def test_twelve_copy_rank_by_counting():
+    # refused while the one 4096 x 4096 block was solved; counted, it is the
+    # class sizes of 4096 sums
+    rank, peak = _peak_of(lambda: state_rank(parse_group("Z1"), 12))
+    assert rank == subset_sum_rank(parse_group("Z1"), 12) == 1
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize(
-    "name,k", [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 12), ("Z4096", 2)]
+    "name,k",
+    [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 13), ("Z359", 2), ("Z4096", 2)],
 )
 def test_state_rank_refusals(name, k):
     G = parse_group(name)
@@ -761,13 +779,17 @@ def test_state_rank_refusals(name, k):
 
 def test_largest_abelian_three_copy_rank():
     # Z64 k=3 was refused by the ordered-tuple guard; the multiset estimate
-    # admits it and refuses Z65
+    # admits it, and since the blocks are counted it admits up to Z71 and
+    # refuses Z72
     G = parse_group("Z64")
     rank, peak = _peak_of(lambda: state_rank(G, 3))
     assert rank == subset_sum_rank(G, 3)
     assert peak < 32 * 2 ** 20
+    G = parse_group("Z65")
+    assert state_rank(G, 3) == subset_sum_rank(G, 3)
+    _guard_multiset_scan(parse_group("Z71"), 3)
     with pytest.raises(CapacityError):
-        state_rank(parse_group("Z65"), 3)
+        state_rank(parse_group("Z72"), 3)
 
 
 def test_two_copy_s6_interior_witness():
@@ -789,14 +811,17 @@ def test_two_copy_s6_rank_equals_closed_form():
 
 def test_largest_abelian_four_copy_rank():
     # Z17 k=4 was refused by the ordered-tuple guard; the multiset estimate
-    # admits up to Z25 and refuses Z26
+    # admitted up to Z25, and since the blocks are counted it admits up to
+    # Z32 and refuses Z33
     G = parse_group("Z17")
     rank, peak = _peak_of(lambda: state_rank(G, 4))
     assert rank == subset_sum_rank(G, 4)
     assert peak < 16 * 2 ** 20
-    _guard_multiset_scan(parse_group("Z25"), 4)
+    G = parse_group("Z26")
+    assert state_rank(G, 4) == subset_sum_rank(G, 4)
+    _guard_multiset_scan(parse_group("Z32"), 4)
     with pytest.raises(CapacityError):
-        state_rank(parse_group("Z26"), 4)
+        state_rank(parse_group("Z33"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -973,9 +998,10 @@ def test_multiset_scan_work_counts_every_pattern():
         want = 0
         for combo in combinations_with_replacement(irreps(G), k):
             ds = [r.dim for r in combo]
-            want += ((2 ** k) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * k * 4 ** k
             if G.is_abelian:
+                want += MULTISET_WORK + GRID_ENTRY_WORK * k * 2 ** k
                 continue
+            want += ((2 ** k) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * k * 4 ** k
             for z in product((-1, 0, 1), repeat=k):
                 want += PATTERN_STEP_WORK
                 nz = [d for d, e in zip(ds, z) if e]
@@ -1001,6 +1027,9 @@ def _tuple_scan_interior(G, k, margin=1e-8):
 
 @pytest.mark.parametrize("name", [f"S{n}" for n in range(1, 6)] + ABELIAN_TO_16)
 def test_interior_check_matches_tuple_scan(name):
+    # no abelian group reports an interior value: its averaged blocks are
+    # all-ones blocks on the classes of f(x) = sum_j x_j w_j, so their
+    # eigenvalues are integers (see test_abelian_counted_spectra_match_eigvalsh)
     G = parse_group(name)
     for k in _tuple_scan_copies(G)[:3]:
         labels, value = _tuple_scan_interior(G, k)
@@ -1010,6 +1039,24 @@ def test_interior_check_matches_tuple_scan(name):
         if report.found:
             assert abs(report.block_eigenvalue - value) < 1e-12
             assert abs(report.witness - value / (2 * G.order) ** k) < 1e-12
+
+
+@pytest.mark.parametrize("name", ABELIAN_TO_16)
+def test_abelian_counted_spectra_match_eigvalsh(name):
+    # the counted spectra against an eigensolve of the block that
+    # state_block builds from the stacks: integer class sizes that fill 2^k
+    # when averaged, and one eigenvalue 2^k at a fixed shift
+    G = parse_group(name)
+    for k in (1, 2, 3):
+        for shift in dict.fromkeys((None, 1 % G.order, G.order - 1)):
+            for combo, _, w in _multiset_spectra(G, k, shift):
+                assert w.dtype.kind == "i" and len(w) == 2 ** k
+                want = np.linalg.eigvalsh(state_block(combo, shift).matrix)
+                assert np.max(np.abs(np.sort(w) - want)) < 1e-10, (k, shift, combo)
+                if shift is None:
+                    assert w.sum() == 2 ** k
+                else:
+                    assert sorted(w) == [0] * (2 ** k - 1) + [2 ** k]
 
 
 # S1-S6, Z2-Z16 and every product of order at most 16
