@@ -145,42 +145,35 @@ def _write_out(args, write) -> None:
         raise DomainError(f"cannot write output file: {exc}") from exc
 
 
-def _load_group(args) -> Group:
-    group = parse_group(args.group)
-    irreps(group, cache_dir=args.cache_dir or None)
-    return group
+# the options that say where and how a run writes its output or reads its
+# input, not what it computes; they stay out of the printed configuration
+_IO_OPTIONS = frozenset({"handler", "out", "format", "cache_dir", "inline"})
 
 
-def _check_shift(group: Group, shift: int | None) -> int | None:
-    if shift is None:
-        return None
-    group.check_index(shift)
-    return shift
+def _config(args, group: Group | None, **extra) -> dict:
+    """The printed configuration: the subcommand, the group's descriptor and
+    every other parsed option except the I/O ones, plus extra."""
+    config = {key: value for key, value in vars(args).items() if key not in _IO_OPTIONS}
+    if group is not None:
+        config["group"] = group.descriptor
+    return {**config, **extra}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each gets the parsed arguments and the loaded group
+# (None for a subcommand without --group), with k and every shift checked
 
 
-def _cmd_spectrum(args) -> int:
-    group = _load_group(args)
-    shift = _check_shift(group, args.shift)
-    rows = spectrum_rows(group, args.k, shift)
-    config = {
-        "command": "spectrum",
-        "group": group.descriptor,
-        "k": args.k,
-        "shift": shift,
-        "eigenvalue_scale": "block",
-        "state_scale_factor": f"(2*{group.order})^-{args.k}",
-    }
+def _cmd_spectrum(args, group: Group) -> None:
+    rows = spectrum_rows(group, args.k, args.shift)
+    config = _config(
+        args, group, eigenvalue_scale="block", state_scale_factor=f"(2*{group.order})^-{args.k}"
+    )
     _emit(args, rows, config)
-    return 0
 
 
-def _cmd_rank(args) -> int:
-    group = _load_group(args)
-    shift = _check_shift(group, args.shift)
+def _cmd_rank(args, group: Group) -> None:
+    shift = args.shift
     rank = state_rank(group, args.k, shift)
     if shift is None:
         closed = rank_closed_form(group, args.k) if args.k <= 2 else None
@@ -200,13 +193,10 @@ def _cmd_rank(args) -> int:
         raise ConsistencyError(
             f"numeric rank {rank} disagrees with the closed form {closed}"
         )
-    config = {"command": "rank", "group": group.descriptor, "k": args.k, "shift": shift}
-    _emit(args, [row], config)
-    return 0
+    _emit(args, [row], _config(args, group))
 
 
-def _cmd_subset_sum(args) -> int:
-    group = _load_group(args)
+def _cmd_subset_sum(args, group: Group) -> None:
     report = moments(group, args.k, method=args.method)
     if not report.agree():
         raise ConsistencyError("counted moments disagree with the closed forms")
@@ -231,20 +221,11 @@ def _cmd_subset_sum(args) -> int:
         "bound_float": float(bound),
         "method": report.method,
     }
-    config = {
-        "command": "subset-sum",
-        "group": group.descriptor,
-        "k": args.k,
-        "method": args.method,
-    }
-    _emit(args, [row], config)
-    return 0
+    _emit(args, [row], _config(args, group))
 
 
-def _cmd_helstrom(args) -> int:
-    group = _load_group(args)
-    shift = _check_shift(group, args.shift)
-    shift2 = _check_shift(group, args.shift2)
+def _cmd_helstrom(args, group: Group) -> None:
+    shift, shift2 = args.shift, args.shift2
     if shift is None and shift2 is not None:
         raise DomainError("--shift2 requires --shift")
     if shift is None:
@@ -273,20 +254,11 @@ def _cmd_helstrom(args) -> int:
         "success": result.success,
         "trace_norm": result.trace_norm,
     }
-    config = {
-        "command": "helstrom",
-        "group": group.descriptor,
-        "k": args.k,
-        "shift": shift,
-        "shift2": shift2,
-    }
-    _emit(args, [row], config)
-    return 0
+    _emit(args, [row], _config(args, group))
 
 
-def _cmd_weak_sample(args) -> int:
-    group = _load_group(args)
-    shift = _check_shift(group, args.shift)
+def _cmd_weak_sample(args, group: Group) -> None:
+    shift = args.shift
     dist = weak_sampling_distribution(one_copy_state(group, shift))
     reference = plancherel(group)
     rows = []
@@ -304,40 +276,20 @@ def _cmd_weak_sample(args) -> int:
                 "deviation": abs(prob - float(ref)),
             }
         )
-    config = {"command": "weak-sample", "group": group.descriptor, "shift": shift}
-    _emit(args, rows, config)
-    return 0
+    _emit(args, rows, _config(args, group))
 
 
-def _cmd_variance_bound(args) -> int:
-    group = _load_group(args)
+def _cmd_variance_bound(args, group: Group) -> None:
     rows = variance_bound_rows(group, args.trials, args.seed, args.outcomes)
-    config = {
-        "command": "variance-bound",
-        "group": group.descriptor,
-        "trials": args.trials,
-        "seed": args.seed,
-        "outcomes": args.outcomes,
-    }
-    _emit(args, rows, config)
-    return 0
+    _emit(args, rows, _config(args, group))
 
 
-def _cmd_sweep(args) -> int:
-    group = _load_group(args)
+def _cmd_sweep(args, group: Group) -> None:
     report = indistinguishability_sweep(group, args.trials, args.seed, args.outcomes)
-    config = {
-        "command": "sweep",
-        "group": group.descriptor,
-        "trials": args.trials,
-        "seed": args.seed,
-        "outcomes": args.outcomes,
-    }
-    _emit(args, report.rows(), config, extra={"summary": report.summary()})
-    return 0
+    _emit(args, report.rows(), _config(args, group), extra={"summary": report.summary()})
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args, group: None) -> None:
     if args.inline:
         first_text = args.first.replace(";", "\n")
         second_text = args.second.replace(";", "\n")
@@ -359,6 +311,8 @@ def _cmd_iso(args) -> int:
     if deviation > 1e-12:
         raise ConsistencyError("oracle state deviates from its reference form")
     payload = {
+        "version": VERSION,
+        "config": _config(args, None),
         "isomorphic": shift is not None,
         "group": G.descriptor,
         "shift_index": shift,
@@ -367,9 +321,7 @@ def _cmd_iso(args) -> int:
         "state_reference": "mixed" if shift is None else "averaged base point, inverse shift",
         "state_max_abs_deviation": deviation,
     }
-    config = {"command": "iso", "first": args.first, "second": args.second}
-    _write_out(args, lambda fh: _write_json(fh, {"version": VERSION, "config": config, **payload}))
-    return 0
+    _write_out(args, lambda fh: _write_json(fh, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +338,7 @@ def _require(condition: bool, message: str) -> None:
     _ok(message)
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args, group: None) -> None:
     cache = args.cache_dir or None
 
     for name in ("S3", "S4", "Z2xZ4"):
@@ -502,7 +454,6 @@ def _cmd_verify_all(args) -> int:
     )
 
     print("all checks passed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +549,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "k", 1) < 1:
             raise DomainError("k must be at least 1")
-        code = args.handler(args)
+        group = None
+        if hasattr(args, "group"):
+            group = parse_group(args.group)
+            irreps(group, cache_dir=args.cache_dir or None)
+            for shift in (getattr(args, "shift", None), getattr(args, "shift2", None)):
+                if shift is not None:
+                    group.check_index(shift)
+        args.handler(args, group)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
-        return code
+        return 0
     except DomainError as exc:
         return _fail(exc, 2)
     except CapacityError as exc:

@@ -95,10 +95,9 @@ def automorphism_witness(A: Graph):
     if A.n > MAX_RIGID_CHECK_N:
         raise CapacityError(f"exhaustive rigidity check limited to n <= {MAX_RIGID_CHECK_N}")
     identity = tuple(range(A.n))
+    base = graph_act(identity, A)  # edges sorted, as every relabeling's are
     for p in permutations(range(A.n)):
-        if p == identity:
-            continue
-        if graph_act(p, A) == A:
+        if p != identity and graph_act(p, A) == base:
             return p
     return None
 
@@ -239,30 +238,26 @@ class ShiftOraclePair:
 def make_shift_oracles(A: Graph, B: Graph) -> ShiftOraclePair:
     """Oracle tables g -> encoding of g applied to each graph.
 
-    Both graphs must be rigid so the tables are injective; violating inputs
-    raise DomainError naming an automorphism witness.
+    Both graphs must be rigid, which is exactly when their tables are
+    injective: a graph whose table repeats the identity's value at some g > 0
+    raises DomainError naming the first such g as an automorphism witness.
     """
     if A.n != B.n:
         raise DomainError("graphs must have the same number of vertices")
     if A.n > MAX_ORACLE_N:
         raise CapacityError(f"oracle construction limited to n <= {MAX_ORACLE_N}")
+    G = symmetric_group(A.n)
+    tables = []
     for name, g0 in (("first", A), ("second", B)):
-        witness = automorphism_witness(g0)
+        table = tuple(graph_act(G.perm(g), g0).encode() for g in G.elements())
+        # g -> g.A is injective exactly when only the identity (index 0) fixes A
+        witness = next((g for g in range(1, G.order) if table[g] == table[0]), None)
         if witness is not None:
             raise DomainError(
-                f"{name} graph is not rigid: automorphism {witness} fixes it"
+                f"{name} graph is not rigid: automorphism {G.perm(witness)} fixes it"
             )
-    G = symmetric_group(A.n)
-    first = []
-    second = []
-    for g in G.elements():
-        images = G.perm(g)
-        first.append(graph_act(images, A).encode())
-        second.append(graph_act(images, B).encode())
-    for name, table in (("first", first), ("second", second)):
-        if len(set(table)) != len(table):
-            raise ConsistencyError(f"{name} oracle table is not injective")
-    return ShiftOraclePair(G, tuple(first), tuple(second))
+        tables.append(table)
+    return ShiftOraclePair(G, *tables)
 
 
 def find_shift_bruteforce(pair: ShiftOraclePair):

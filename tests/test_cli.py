@@ -255,6 +255,69 @@ def test_exit_code_domain_error():
         assert err["error"]["type"] == "DomainError"
 
 
+# the printed configuration of each emitting subcommand: its parsed options
+# but --out, --format, --cache-dir and --inline, the group by its descriptor
+CONFIGS = [
+    (
+        ["spectrum", "--group", "S3", "--k", "2", "--shift", "1"],
+        {"command": "spectrum", "group": "S3", "k": 2, "shift": 1,
+         "eigenvalue_scale": "block", "state_scale_factor": "(2*6)^-2"},
+    ),
+    (["rank", "--group", "s3"], {"command": "rank", "group": "S3", "k": 1, "shift": None}),
+    (
+        ["subset-sum", "--group", "Z4", "--k", "2", "--method", "convolution"],
+        {"command": "subset-sum", "group": "Z4", "k": 2, "method": "convolution"},
+    ),
+    (
+        ["helstrom", "--group", "Z2", "--shift", "0", "--shift2", "1"],
+        {"command": "helstrom", "group": "Z2", "k": 1, "shift": 0, "shift2": 1},
+    ),
+    (["weak-sample", "--group", "S3"], {"command": "weak-sample", "group": "S3", "shift": None}),
+    (
+        ["variance-bound", "--group", "S3", "--trials", "2", "--seed", "4", "--outcomes", "6"],
+        {"command": "variance-bound", "group": "S3", "trials": 2, "seed": 4, "outcomes": 6},
+    ),
+    (
+        ["sweep", "--group", "Z4", "--trials", "3", "--seed", "1"],
+        {"command": "sweep", "group": "Z4", "trials": 3, "seed": 1, "outcomes": None},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,config", CONFIGS, ids=[argv[0] for argv, _ in CONFIGS])
+def test_printed_config(capsys, tmp_path, argv, config):
+    for fmt in ("csv", "json"):
+        assert hslab.cli.main([*argv, "--format", fmt, "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        printed = read_csv(out)[0] if fmt == "csv" else json.loads(out)["config"]
+        assert printed == config, fmt
+
+
+def test_iso_printed_config(capsys):
+    assert hslab.cli.main(["iso", "--inline", "--first", TRIANGLE, "--second", RELABELED]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"command": "iso", "first": TRIANGLE, "second": RELABELED}
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # k is checked first, then the group, then --shift, --shift2, and their pairing
+        ("rank --group S9 --k 0", 2, "k must be at least 1"),
+        ("spectrum --group Q8 --shift 99", 2, "cannot parse group descriptor 'Q8'"),
+        ("spectrum --group S9 --shift 100", 3, "symmetric degree 9 exceeds"),
+        ("helstrom --group S3 --shift 7 --shift2 9", 2, "element index 7 out of range for S3"),
+        ("helstrom --group S3 --shift2 9", 2, "element index 9 out of range for S3"),
+        ("helstrom --group S3 --shift2 1", 2, "--shift2 requires --shift"),
+    ],
+)
+def test_input_error_precedence(capsys, argv, code, message):
+    assert hslab.cli.main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith(message)
+
+
 def test_rank_s6_two_copies_golden():
     proc = run_cli("rank", "--group", "S6", "--k", "2")
     assert proc.stdout == (

@@ -185,6 +185,25 @@ def test_make_shift_oracles_requires_rigidity():
         make_shift_oracles(colored_triangle([0, 1, 2]), graph(4, []))
 
 
+def test_oracle_tables_name_the_first_automorphism():
+    # rigidity is read from the oracle tables: the first g > 0 whose value
+    # equals the identity's is the automorphism the exhaustive search names
+    rigid = graph(4, [(0, 1), (1, 2), (2, 3)], colors=[0, 1, 2, 3])
+    two_edges = graph(4, [(0, 1), (2, 3)])
+    mirrored = graph(4, [(0, 1), (1, 2), (2, 3)], colors=[0, 1, 1, 0])
+    unsorted_path = Graph(3, ((1, 2), (0, 1)))  # built directly, edges not sorted
+    for first, second, name, witness in (
+        (two_edges, rigid, "first", (0, 1, 3, 2)),
+        (rigid, mirrored, "second", (3, 2, 1, 0)),
+        (unsorted_path, colored_triangle([0, 1, 2]), "first", (2, 1, 0)),
+    ):
+        bad = first if name == "first" else second
+        assert automorphism_witness(bad) == witness and not is_rigid(bad)
+        with pytest.raises(DomainError) as caught:
+            make_shift_oracles(first, second)
+        assert str(caught.value) == f"{name} graph is not rigid: automorphism {witness} fixes it"
+
+
 def test_find_planted_shift_small():
     G = symmetric_group(3)
     A = colored_triangle([0, 1, 2])
