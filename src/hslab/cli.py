@@ -221,6 +221,10 @@ def _cmd_subset_sum(args, group: Group) -> None:
         "bound_float": float(bound),
         "method": report.method,
     }
+    try:  # the exact values of a large k can pass the interpreter's int-to-str digit limit
+        list(map(str, row.values()))
+    except ValueError as exc:
+        raise CapacityError(f"the exact moments of k={args.k} copies have too many digits to print") from exc
     _emit(args, [row], _config(args, group))
 
 

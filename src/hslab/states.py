@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -39,6 +39,8 @@ MULTISET_WORK_LIMIT = 2 ** 32
 PATTERN_STEP_WORK = 2 ** 17
 MULTISET_WORK = 2 ** 16
 GRID_ENTRY_WORK = 2 ** 7
+COUNT_MULTISET_WORK = 2 ** 12
+COUNT_ENTRY_WORK = 2 ** 6
 MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
 BLOCK_OVERHEAD_BYTES = 512
 RANK_CHUNK_CELLS = 2 ** 16
@@ -401,7 +403,7 @@ def _bit_tuples(k: int) -> np.ndarray:
     (x, y) of a block has exponents y - x, so any integer-linear function of
     them is f(y) - f(x) with f = _bit_tuples(k) @ coefficients, and the
     k 4^k exponents never need to exist at once."""
-    return np.array(list(product((0, 1), repeat=k)), dtype=np.int64).reshape(2 ** k, k)
+    return np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
 
 
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
@@ -646,29 +648,33 @@ def state_spectrum(state: ShiftState) -> SpectrumReport:
 
 
 def _guard_multiset_scan(group: Group, copies: int) -> int:
-    """The estimated work of the _multiset_spectra scan, in units of one n^3
-    of an n x n eigensolve; CapacityError above MULTISET_WORK_LIMIT. A widest
-    block over BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
+    """The estimated work of state_rank and interior_eigenvalue_check, in
+    units of one n^3 of an n x n eigensolve (0.11 ns on S6 k=2, one BLAS
+    thread); CapacityError above MULTISET_WORK_LIMIT. A widest block over
+    BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
 
-    Each irrep multiset costs MULTISET_WORK plus GRID_ENTRY_WORK per entry of
-    k-tuples: its 2^k bit tuples, which an abelian block counts, or else the
-    exponents of its 4^k cells. A non-abelian block adds its eigensolve
-    (2^k D)^3, PATTERN_STEP_WORK per pattern and |G| D_S^2 per average over
-    three or more nonzero factors S, in all prod(1 + x_j) - 1 - e_1(x) -
-    e_2(x) with x_j = 2 d_j^2. The sum runs over multisets of dimensions,
-    each standing for prod_d C(n_d + m_d - 1, m_d) irrep multisets (n_d
-    irreps have dimension d, and m_d copies pick it).
+    An abelian multiset is counted (see _abelian_rank) for COUNT_MULTISET_WORK
+    plus COUNT_ENTRY_WORK per entry of its k 2^k bit tuples (330 ns + 7 ns
+    k 2^k measured). Any other costs MULTISET_WORK plus GRID_ENTRY_WORK per
+    exponent of its 4^k cells, its eigensolve (2^k D)^3, PATTERN_STEP_WORK
+    per pattern and |G| D_S^2 per average over three or more nonzero factors
+    S, in all prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The
+    sum runs over multisets of dimensions, each standing for
+    prod_d C(n_d + m_d - 1, m_d) irrep multisets (n_d irreps have dimension
+    d, and m_d copies pick it).
     """
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     counts = Counter(r.dim for r in irreps(group))
 
     def price(ds):
-        each = MULTISET_WORK + GRID_ENTRY_WORK * copies * (2 if group.is_abelian else 4) ** copies
-        if not group.is_abelian:
+        if group.is_abelian:
+            each = COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * copies * 2 ** copies
+        else:
             x = [2 * d * d for d in ds]
             e1 = sum(x)
             e2 = (e1 * e1 - sum(v * v for v in x)) // 2
+            each = MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
             each += ((2 ** copies) * prod(ds)) ** 3 + PATTERN_STEP_WORK * 3 ** copies
             each += group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
         return prod(comb(counts[d] + m - 1, m) for d, m in Counter(ds).items()) * each
@@ -688,68 +694,67 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
 
 def _multiset_spectra(group: Group, copies: int, shift: int | None):
     """Yield (sorted irrep tuple, weight, block eigenvalues), one per multiset
-    of k irreps, in combinations_with_replacement order.
+    of k irreps of a non-abelian group, in combinations_with_replacement order.
 
     Permuting the copies conjugates a block by a permutation, so every
     ordering of a multiset has the spectrum of the sorted tuple; the weight
-    D k!/prod(m!) counts the D copies of each of its orderings.
-
-    Abelian groups are counted exactly, in int arrays, RANK_CHUNK_CELLS
-    (multiset, bit tuple) rows at a time. Cell (x, y) of the block of
-    characters (w_1..w_k) is chi_(f(y) - f(x)), f(x) = sum_j x_j w_j. The
-    average is [f(x) == f(y)]: eigenvalues the class sizes of f, each at the
-    end of its run in sorted order, and zeros. At a fixed shift s it is
-    conj(u_x) u_y, u_x = chi_f(x)(s): rank one, eigenvalue 2^k, so s is only
-    index-checked. Other groups: _build_block with one memo for the scan,
-    started from _one_factor_averages and _schur_pair_averages if averaged.
+    D k!/prod(m!) counts the D copies of each of its orderings. The blocks
+    come from _build_block with one memo for the scan, started from
+    _one_factor_averages and _schur_pair_averages if averaged.
     """
     _guard_multiset_scan(group, copies)
     k = copies
     reps = irreps(group)
     if shift is not None:
         group.check_index(shift)
-
-    def weight(combo):
+    memo = _one_factor_averages(reps) if shift is None else {}
+    if shift is None and k > 1:
+        memo.update(_schur_pair_averages(reps))
+    for combo in combinations_with_replacement(reps, k):
         orderings = factorial(k) // prod(map(factorial, Counter(combo).values()))
-        return orderings * prod(r.dim for r in combo)
+        weight = orderings * prod(r.dim for r in combo)
+        yield combo, weight, np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
 
-    if not group.is_abelian:
-        memo = {}
-        if shift is None:
-            memo = _one_factor_averages(reps)
-            if k > 1:
-                memo.update(_schur_pair_averages(reps))
-        for combo in combinations_with_replacement(reps, k):
-            yield combo, weight(combo), np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
-        return
-    freqs = np.array([r.label for r in reps], dtype=np.int64)
-    combos = np.array(list(combinations_with_replacement(range(len(reps)), k)), dtype=np.int64)
+
+def _abelian_rank(group: Group, k: int, shift: int | None) -> int:
+    """state_rank of an abelian group, counted RANK_CHUNK_CELLS (multiset,
+    bit tuple) cells at a time. Cell (x, y) of the block of characters
+    (w_1..w_k) is chi_(f(y) - f(x)), f(x) = sum_j x_j w_j. Averaged it is
+    [f(x) == f(y)], of rank the number of distinct values of f; at a fixed
+    shift s, conj(u_x) u_y with u_x = chi_f(x)(s), of rank one. A multiset
+    stands for k!/prod(m!) orderings, m the runs in its sorted row.
+    """
+    _guard_multiset_scan(group, k)
+    if shift is not None:
+        group.check_index(shift)
+    labels = np.array([r.label for r in irreps(group)], dtype=np.int64)
     bits = _bit_tuples(k)
-    at = np.arange(2 ** k)
-    rank_one = np.where(at == 2 ** k - 1, 2 ** k, 0)
-    rank_one.flags.writeable = False
+    at = np.arange(k)
+    rows = combinations_with_replacement(range(group.order), k)
     step = max(1, RANK_CHUNK_CELLS >> k)
-    for start in range(0, len(combos), step):
-        chunk = combos[start : start + step]
-        if shift is None:
-            f = bits @ freqs[chunk] % np.array(group.moduli)
-            f = np.sort(np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli), axis=1)
-            # new[:, j]: a run of equal values starts at j, and one ends at j - 1
-            new = np.diff(f, axis=1, prepend=-1, append=group.order) != 0
-            first = np.maximum.accumulate(np.where(new[:, :-1], at, 0), axis=1)
-            sizes = np.where(new[:, 1:], at + 1 - first, 0)
-        for i, row in enumerate(chunk.tolist()):
-            combo = tuple(reps[j] for j in row)
-            yield combo, weight(combo), rank_one if shift is not None else sizes[i]
+    rank = 0
+    for _ in range(0, comb(group.order + k - 1, k), step):
+        chunk = np.fromiter(chain.from_iterable(islice(rows, step)), np.int64).reshape(-1, k)
+        # entry j is the (j - first + 1)-th of its run, so these multiply to prod(m!)
+        first = np.maximum.accumulate(np.where(np.diff(chunk, axis=1, prepend=-1) != 0, at, 0), axis=1)
+        weight = factorial(k) // np.prod(at + 1 - first, axis=1)
+        if shift is not None:
+            rank += int(weight.sum())
+            continue
+        f = bits @ labels[chunk] % np.array(group.moduli)
+        f = np.sort(np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli), axis=1)
+        rank += int(weight @ (1 + np.count_nonzero(np.diff(f, axis=1), axis=1)))
+    return rank
 
 
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
-    """Numeric rank of the k-copy state from one block per irrep multiset
-    (see _multiset_spectra), with the cutoff of _numeric_rank."""
+    """Numeric rank of the k-copy state: counted for an abelian group (see
+    _abelian_rank), else from one block per irrep multiset (see
+    _multiset_spectra) with the cutoff of _numeric_rank."""
+    if group.is_abelian:
+        return _abelian_rank(group, copies, shift)
     spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies, shift)]
     top = max(float(np.max(np.abs(w))) for _, w in spectra)
-    if top == 0.0:
-        return 0
     return sum(weight * int(np.count_nonzero(w > RANK_RTOL * top)) for weight, w in spectra)
 
 
@@ -788,8 +793,14 @@ def interior_eigenvalue_check(
     two-outcome discrimination measurement. The first matching irrep
     multiset (see _multiset_spectra) supplies the witness. It is also the
     first matching tuple in canonical tuple order: the sorted tuple of a
-    match matches too, and comes no later.
+    match matches too, and comes no later. margin must lie in [0, 1/2).
     """
+    if not 0 <= margin < 0.5:
+        raise DomainError(f"margin must lie in [0, 1/2), not {margin!r}")
+    if group.is_abelian:
+        # every averaged block eigenvalue is a class size of f or 0 (see _abelian_rank)
+        _guard_multiset_scan(group, copies)
+        return InteriorEigenvalueReport(found=False)
     scale = 1.0 / (2 * group.order) ** copies
     for combo, _, w in _multiset_spectra(group, copies, None):
         inside = w[(w > margin) & (w < 1.0 - margin)]

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group
 
-TABLE_OP_LIMIT = 100_000_000
 # 1 GiB of int32 cells; the last copy step holds about two such arrays
 _TABLE_CELL_LIMIT = 2 ** 28
 _TABLE_FAST_LIMIT = 2_000_000
@@ -76,19 +75,12 @@ def subset_sum_table(group: Group, copies: int) -> SubsetSumTable:
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     N = group.order
-    # Prices the former 2^k-pattern enumeration, not the recurrence; kept so
-    # the same requests are refused and moments(method="auto") is unchanged.
-    # 2^k alone is over the limit once k reaches its bit length, so that is
-    # tested before the powers are computed.
-    if copies >= TABLE_OP_LIMIT.bit_length() or (N ** copies) * (2 ** copies) > TABLE_OP_LIMIT:
+    # the count at x = 0, w = 0 is 2^k, so int32 holds k <= 30; that is
+    # tested before the power is computed
+    if copies > 30 or N ** (copies + 1) > _TABLE_CELL_LIMIT:
         raise CapacityError(
-            f"subset-sum table needs {N}^{copies} * 2^{copies} counting steps, "
-            f"beyond {TABLE_OP_LIMIT}"
-        )
-    cells = N ** (copies + 1)
-    if cells > _TABLE_CELL_LIMIT:
-        raise CapacityError(
-            f"subset-sum table needs {cells} cells, beyond {_TABLE_CELL_LIMIT}"
+            f"subset-sum table of {group.descriptor} with k={copies} exceeds "
+            f"{_TABLE_CELL_LIMIT} cells or int32 counts"
         )
     g = np.arange(N)
     minus = group.compose(g[None, :], group.inverse_vector()[:, None])  # w - x
@@ -116,7 +108,7 @@ class MomentReport:
     Formula values and enumerated values are kept side by side, all exact.
     method records how the enumerated side was obtained: "table" walks the
     full count table, "convolution" runs an exact integer recursion over
-    copies on the joint law of two subset sums (full enumeration
+    copies on the difference of two subset sums (full enumeration
     reorganized coordinate by coordinate). table is the table walked, so
     its rank costs no second build, or None for the convolution.
     """
@@ -152,8 +144,13 @@ def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
         method = "table" if small else "convolution"
     if method == "table":
         table = subset_sum_table(group, k)
-        s1 = int(table.counts.astype(np.int64).sum())
-        s2 = int((table.counts.astype(np.int64) ** 2).sum())
+        counts = table.counts
+        s1 = int(counts.sum(dtype=np.int64))
+        # a row's squares sum to at most 4^k, so int64 sums over 2^62 / 4^k
+        # rows cannot wrap; they are added as Python ints
+        step = max(1, 2 ** 62 >> 2 * k)
+        chunks = (counts[i : i + step] for i in range(0, len(counts), step))
+        s2 = sum(int(np.einsum("ij,ij->", c, c, dtype=np.int64)) for c in chunks)
     elif method == "convolution":
         table = None
         s1, s2 = _convolution_totals(group, k)
@@ -178,50 +175,35 @@ def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
 def _convolution_totals(group: Group, copies: int) -> tuple[int, int]:
     """Exact totals sum_(x,w) count and sum_(x,w) count^2 by recursion.
 
-    Tracks, coordinate by coordinate, how many (x-prefix, b-prefix,
-    c-prefix) triples reach each pair of partial sums (u, v); when the
-    final diagonal is summed this equals the full enumeration of the
-    squared counts. Integer arithmetic throughout, so the result is exact.
+    sum_w count(x, w) counts the bit vectors b, and sum_w count(x, w)^2 the
+    pairs (b, c) with b . x = c . x. Coordinate by coordinate this counts the
+    (x-prefix, b-prefix) pairs at each partial sum b . x and the (x-prefix,
+    b-prefix, c-prefix) triples at each difference b . x - c . x; the totals
+    are the sum of the first and the second at 0. Integer arithmetic
+    throughout, so the result is exact.
     """
     N = group.order
     # the counts reach (4|G|)^k, so each step adds integers this many bits wide
     width = copies * (4 * N).bit_length()
-    if copies * 4 * N ** 3 * (1 + width // _CONV_STEP_BITS) > _CONV_OP_LIMIT:
+    if copies * 4 * N ** 2 * (1 + width // _CONV_STEP_BITS) > _CONV_OP_LIMIT:
         raise CapacityError(
             f"moment recursion of {group.descriptor} with k={copies} exceeds the work budget"
         )
     add = group.compose_table().tolist()
 
     single = [1] + [0] * (N - 1)
+    diff = [1] + [0] * (N - 1)
     for _ in range(copies):
-        nxt = [0] * N
-        for u, cnt in enumerate(single):
-            if cnt:
-                for x in range(N):
-                    nxt[u] += cnt  # b = 0
-                    nxt[add[u][x]] += cnt  # b = 1
-        single = nxt
-    s1 = sum(single)
-
-    joint = [[0] * N for _ in range(N)]
-    joint[0][0] = 1
-    for _ in range(copies):
-        nxt = [[0] * N for _ in range(N)]
+        next_single, next_diff = [0] * N, [0] * N
         for u in range(N):
-            row = joint[u]
-            for v in range(N):
-                cnt = row[v]
-                if cnt:
-                    for x in range(N):
-                        ux = add[u][x]
-                        vx = add[v][x]
-                        nxt[u][v] += cnt  # b = 0, c = 0
-                        nxt[ux][v] += cnt  # b = 1, c = 0
-                        nxt[u][vx] += cnt  # b = 0, c = 1
-                        nxt[ux][vx] += cnt  # b = 1, c = 1
-        joint = nxt
-    s2 = sum(joint[u][u] for u in range(N))
-    return s1, s2
+            next_diff[u] += 2 * N * diff[u]  # b = c, for each of the N values of x
+            for x in range(N):
+                next_single[u] += single[u]  # b = 0
+                next_single[add[u][x]] += single[u]  # b = 1
+                # b = 1, c = 0 adds x and b = 0, c = 1 adds -x, which runs over G as x does
+                next_diff[add[u][x]] += 2 * diff[u]
+        single, diff = next_single, next_diff
+    return sum(single), diff[0]
 
 
 # ---------------------------------------------------------------------------

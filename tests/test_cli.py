@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,19 @@ def test_subset_sum_builds_one_table(monkeypatch, capsys, group, k):
     assert rows[0]["method"] == "table" and rows[0]["rank"] != ""
 
 
+def test_subset_sum_rank_beyond_the_fast_table(capsys):
+    # the moments take the convolution; the rank still comes from the table,
+    # no longer refused by the price of an enumeration that no longer runs
+    rows = {}
+    for command in ("subset-sum", "rank"):
+        assert hslab.cli.main([command, "--group", "Z4", "--k", "9", "--format", "json"]) == 0
+        (rows[command],) = json.loads(capsys.readouterr().out)["rows"]
+    counted = rows["subset-sum"]
+    assert counted["method"] == "convolution"
+    assert counted["rank"] == rows["rank"]["rank"] == 1047371
+    assert counted["success"] == str(1 - Fraction(1047371, 2 * 8 ** 9))
+
+
 def _assert_capacity_error(proc):
     assert proc.returncode == 3, proc.stderr
     err = json.loads(proc.stderr)
@@ -393,6 +407,8 @@ def test_exit_code_capacity_error():
         ("subset-sum", "--group", "Z2", "--k", "20000"),
         ("subset-sum", "--group", "Z2", "--k", "20000", "--method", "table"),
         ("subset-sum", "--group", "Z1", "--k", "100000"),
+        # counted, but a second moment of 4^7143 has more digits than Python prints
+        ("subset-sum", "--group", "Z1", "--k", "7143"),
     ):
         _assert_capacity_error(run_cli(*argv, check=False))
 

@@ -1,9 +1,10 @@
 """State constructions: dense vs block forms, spectra, ranks, factorizations."""
 
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hslab.irreps import Irrep, irreps, kron_stack, regular_rep
 from hslab.iso import graph, graph_act, make_shift_oracles, states_from_oracles
 from hslab.measurements import helstrom, weak_sampling_distribution
 from hslab.states import (
+    COUNT_ENTRY_WORK,
+    COUNT_MULTISET_WORK,
     GRID_ENTRY_WORK,
     MULTISET_WORK,
     PATTERN_STEP_WORK,
@@ -548,6 +551,16 @@ def test_validate_rejects_non_finite_entries():
         state.validate()
 
 
+def test_interior_check_margin_domain():
+    # a negative margin would report a zero eigenvalue as interior, and one of
+    # 1/2 or more leaves no interval (margin, 1 - margin) to search
+    for G in (abelian_group(4), symmetric_group(3)):
+        for margin in (-1e-3, 0.5, 1.0, float("nan")):
+            with pytest.raises(DomainError, match="margin"):
+                interior_eigenvalue_check(G, 2, margin=margin)
+        assert interior_eigenvalue_check(G, 2, margin=0.0).found == (not G.is_abelian)
+
+
 def test_interior_eigenvalue_witnesses():
     assert not interior_eigenvalue_check(abelian_group(2), 1).found
     assert not interior_eigenvalue_check(symmetric_group(3), 1).found
@@ -724,18 +737,17 @@ ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
 
 @pytest.mark.parametrize("name", ABELIAN_TO_16)
 def test_abelian_rank_matches_scan_and_counting(name):
-    # the averaged rank at every k the multiset guard admits (5 for Z16, 12
-    # for Z1), against subset-sum counting wherever its table is admitted;
-    # the oracle scan and the fixed shifts, which take seconds beyond 512
-    # tuples or three copies, up to k = 3
+    # the averaged rank at every k the multiset guard admits (6 for Z16, 12
+    # for Z1), against subset-sum counting wherever the table takes at most
+    # 10^8 steps (2|G|)^k, under a second each, which every k <= 3 fits; the
+    # oracle scan and the fixed shifts, which take seconds beyond 512 tuples
+    # or three copies, up to k = 3
     G = parse_group(name)
     k = 1
     while k <= 3 or _admitted(G, k):
         rank = state_rank(G, k)
-        try:
+        if (2 * G.order) ** k <= 10 ** 8:
             assert rank == subset_sum_rank(G, k)
-        except CapacityError:  # beyond the table's budget, which every k <= 3 fits
-            assert k > 3
         if k <= 3 and G.order ** k <= 512:
             assert rank == _oracle_scan_rank(G, k)
         for shift in dict.fromkeys((1 % G.order, G.order - 1)) if k <= 3 else ():
@@ -769,7 +781,7 @@ def test_twelve_copy_rank_by_counting():
 
 @pytest.mark.parametrize(
     "name,k",
-    [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 13), ("Z359", 2), ("Z4096", 2)],
+    [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 13), ("Z1365", 2), ("Z4096", 2)],
 )
 def test_state_rank_refusals(name, k):
     G = parse_group(name)
@@ -777,19 +789,39 @@ def test_state_rank_refusals(name, k):
     assert peak < 10 * 2 ** 20
 
 
+def test_two_copy_abelian_rank_by_counting():
+    # refused while every multiset cost Python; counted per chunk, the guard
+    # admits up to Z1364 (0.26 s) and refuses Z1365
+    for name in ("Z359", "Z1024"):
+        G = parse_group(name)
+        rank, peak = _peak_of(lambda: state_rank(G, 2))
+        assert rank == rank_closed_form(G, 2)
+        assert peak < 8 * 2 ** 20
+    _guard_multiset_scan(parse_group("Z1364"), 2)
+
+
+def test_counted_rank_holds_no_spectra():
+    # the 12,870 multisets of 256 bit tuples each are counted a chunk at a
+    # time: no list of their spectra (25 MiB) is kept
+    G = parse_group("Z3xZ3")
+    rank, peak = _peak_of(lambda: state_rank(G, 8))
+    assert rank == 385956801
+    assert peak < 8 * 2 ** 20
+
+
 def test_largest_abelian_three_copy_rank():
     # Z64 k=3 was refused by the ordered-tuple guard; the multiset estimate
-    # admits it, and since the blocks are counted it admits up to Z71 and
-    # refuses Z72
+    # admits it, and since the blocks are counted it admits up to Z165 and
+    # refuses Z166
     G = parse_group("Z64")
     rank, peak = _peak_of(lambda: state_rank(G, 3))
     assert rank == subset_sum_rank(G, 3)
     assert peak < 32 * 2 ** 20
     G = parse_group("Z65")
     assert state_rank(G, 3) == subset_sum_rank(G, 3)
-    _guard_multiset_scan(parse_group("Z71"), 3)
+    _guard_multiset_scan(parse_group("Z165"), 3)
     with pytest.raises(CapacityError):
-        state_rank(parse_group("Z72"), 3)
+        state_rank(parse_group("Z166"), 3)
 
 
 def test_two_copy_s6_interior_witness():
@@ -812,16 +844,16 @@ def test_two_copy_s6_rank_equals_closed_form():
 def test_largest_abelian_four_copy_rank():
     # Z17 k=4 was refused by the ordered-tuple guard; the multiset estimate
     # admitted up to Z25, and since the blocks are counted it admits up to
-    # Z32 and refuses Z33
+    # Z58 and refuses Z59
     G = parse_group("Z17")
     rank, peak = _peak_of(lambda: state_rank(G, 4))
     assert rank == subset_sum_rank(G, 4)
     assert peak < 16 * 2 ** 20
     G = parse_group("Z26")
     assert state_rank(G, 4) == subset_sum_rank(G, 4)
-    _guard_multiset_scan(parse_group("Z32"), 4)
+    _guard_multiset_scan(parse_group("Z58"), 4)
     with pytest.raises(CapacityError):
-        state_rank(parse_group("Z33"), 4)
+        state_rank(parse_group("Z59"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -993,13 +1025,13 @@ def test_complex_stacks_fall_back_to_stack_averages():
 def test_multiset_scan_work_counts_every_pattern():
     # the estimate of _guard_multiset_scan against every irrep multiset and
     # every pattern counted one by one
-    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2), ("Z4", 3)]:
+    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2), ("Z4", 3), ("Z3xZ3", 8)]:
         G = parse_group(name)
         want = 0
         for combo in combinations_with_replacement(irreps(G), k):
             ds = [r.dim for r in combo]
             if G.is_abelian:
-                want += MULTISET_WORK + GRID_ENTRY_WORK * k * 2 ** k
+                want += COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * k * 2 ** k
                 continue
             want += ((2 ** k) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * k * 4 ** k
             for z in product((-1, 0, 1), repeat=k):
@@ -1029,7 +1061,7 @@ def _tuple_scan_interior(G, k, margin=1e-8):
 def test_interior_check_matches_tuple_scan(name):
     # no abelian group reports an interior value: its averaged blocks are
     # all-ones blocks on the classes of f(x) = sum_j x_j w_j, so their
-    # eigenvalues are integers (see test_abelian_counted_spectra_match_eigvalsh)
+    # eigenvalues are integers, and the check answers without a scan
     G = parse_group(name)
     for k in _tuple_scan_copies(G)[:3]:
         labels, value = _tuple_scan_interior(G, k)
@@ -1043,20 +1075,22 @@ def test_interior_check_matches_tuple_scan(name):
 
 @pytest.mark.parametrize("name", ABELIAN_TO_16)
 def test_abelian_counted_spectra_match_eigvalsh(name):
-    # the counted spectra against an eigensolve of the block that
-    # state_block builds from the stacks: integer class sizes that fill 2^k
-    # when averaged, and one eigenvalue 2^k at a fixed shift
+    # the counted ranks against the eigensolved blocks that state_block builds
+    # from the stacks, each multiset weighted by its k!/prod(m!) orderings,
+    # with the state's cutoff: 1e-8 of the largest block eigenvalue
     G = parse_group(name)
     for k in (1, 2, 3):
         for shift in dict.fromkeys((None, 1 % G.order, G.order - 1)):
-            for combo, _, w in _multiset_spectra(G, k, shift):
-                assert w.dtype.kind == "i" and len(w) == 2 ** k
-                want = np.linalg.eigvalsh(state_block(combo, shift).matrix)
-                assert np.max(np.abs(np.sort(w) - want)) < 1e-10, (k, shift, combo)
-                if shift is None:
-                    assert w.sum() == 2 ** k
-                else:
-                    assert sorted(w) == [0] * (2 ** k - 1) + [2 ** k]
+            spectra = [
+                (
+                    factorial(k) // prod(map(factorial, Counter(combo).values())),
+                    np.linalg.eigvalsh(state_block(combo, shift).matrix),
+                )
+                for combo in combinations_with_replacement(irreps(G), k)
+            ]
+            top = max(float(np.max(w)) for _, w in spectra)
+            want = sum(weight * int(np.sum(w > 1e-8 * top)) for weight, w in spectra)
+            assert state_rank(G, k, shift) == want, (k, shift)
 
 
 # S1-S6, Z2-Z16 and every product of order at most 16
@@ -1066,9 +1100,15 @@ WEIGHT_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 17)]
 @pytest.mark.parametrize("name", WEIGHT_GROUPS)
 def test_multiset_weights_count_every_dimension(name):
     # the weights D k!/prod(m!) times the block sizes 2^k D fill (2|G|)^k,
-    # for every k that the scan's own guard admits
+    # for every k that the scan's own guard admits; an abelian group's
+    # fixed-shift blocks have rank one, so its counted rank is the sum of the
+    # weights, which must be |G|^k
     G = parse_group(name)
     for k in _tuple_scan_copies(G, _guard_multiset_scan):
+        if G.is_abelian:
+            for shift in dict.fromkeys((1 % G.order, G.order - 1)):
+                assert state_rank(G, k, shift) == G.order ** k, (k, shift)
+            continue
         for shift in (None, 1 % G.order):
             spectra = list(_multiset_spectra(G, k, shift))
             assert [combo for combo, _, _ in spectra] == list(

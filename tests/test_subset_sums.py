@@ -11,7 +11,6 @@ from hslab.errors import CapacityError, DomainError
 from hslab.groups import abelian_group, symmetric_group
 from hslab.states import state_rank
 from hslab.subset_sums import (
-    TABLE_OP_LIMIT,
     moments,
     subset_sum_rank,
     subset_sum_table,
@@ -180,28 +179,44 @@ def test_domain_and_capacity_errors():
         subset_sum_table(abelian_group(16), 10)
     with pytest.raises(DomainError):
         moments(abelian_group(4), 0)
-    # the guard prices (2|G|)^k counting steps: refused just above the limit,
-    # admitted exactly at it (a 7.8 MB table)
-    for N, k in ((233, 3), (20, 5)):  # 1.2% and 2.4% above
-        assert (2 * N) ** k > TABLE_OP_LIMIT
-        with pytest.raises(CapacityError):
-            subset_sum_table(abelian_group(N), k)
-    assert (2 * 5) ** 8 == TABLE_OP_LIMIT
+    # the guard prices the int32 cells, |G|^(k+1): Z233 k=3 is refused, and
+    # Z20 k=5, refused while the guard priced (2|G|)^k counting steps, counts
+    # its 64M cells with two such arrays alive at the last step
+    with pytest.raises(CapacityError):
+        subset_sum_table(abelian_group(233), 3)
+    G = abelian_group(20)
+    table, peak = _peak_of(lambda: subset_sum_table(G, 5))
+    assert table.rank() == state_rank(G, 5) == 49831203
+    assert peak < 2.1 * table.counts.nbytes
+    del table
     assert subset_sum_table(abelian_group(5), 8).counts.shape == (5 ** 8, 5)
-    # within the counting-step price, but an 11.6 GB and a 275 GB int32
-    # table: refused on its cell count, before anything is allocated
-    for N, k in ((232, 3), (4096, 2)):
-        assert (2 * N) ** k <= TABLE_OP_LIMIT
+    # an 11.6 GB and a 275 GB int32 table: refused on its cell count, before
+    # anything is allocated; and counts of 2^31, which int32 cannot hold
+    for N, k in ((232, 3), (4096, 2), (1, 31)):
         with pytest.raises(CapacityError):
             subset_sum_table(abelian_group(N), k)
+    assert subset_sum_table(abelian_group(1), 30).counts.tolist() == [[2 ** 30]]
+    _, peak = _peak_of(lambda: pytest.raises(CapacityError, subset_sum_table, abelian_group(232), 3))
+    assert peak < 10 * 2 ** 20
+
+
+def _peak_of(fn):
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
-            subset_sum_table(abelian_group(232), 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+
+
+def test_table_moments_sum_past_int64():
+    # sum count^2 passes 2^63 from Z2 k=22; it is summed in int64 over chunks
+    # of rows that cannot wrap, with no int64 copy of the 32 MiB table
+    G = abelian_group(2)
+    report, peak = _peak_of(lambda: moments(G, 22, method="table"))
+    assert report.method == "table" and report.agree()
+    assert report.second_counted * 2 ** 23 > 2 ** 63
+    assert peak < 3 * report.table.counts.nbytes
 
 
 def test_trivial_group():
