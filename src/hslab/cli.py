@@ -59,7 +59,7 @@ from .states import (
     subgroup_restriction_check,
     to_block_basis,
 )
-from .subset_sums import moments, subset_sum_table, success_from_rank, success_probability
+from .subset_sums import moment_formulas, moments, subset_sum_table, success_from_rank, success_probability
 from . import iso as iso_mod
 
 VERSION = "0.1.0"
@@ -197,6 +197,15 @@ def _cmd_rank(args, group: Group) -> None:
 
 
 def _cmd_subset_sum(args, group: Group) -> None:
+    # refuse moments past the int-to-str digit limit (0: none) before counting them;
+    # 2^k has over 0.3 k digits, so a k past four times the limit is tried at that bound
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        if limit and group.is_abelian:  # moments refuses any other group
+            mean, second = moment_formulas(group.order, min(args.k, 4 * limit + 1))
+            list(map(str, (mean, second, second - mean ** 2)))
+    except ValueError as exc:
+        raise CapacityError(f"the exact moments of k={args.k} copies have too many digits to print") from exc
     report = moments(group, args.k, method=args.method)
     if not report.agree():
         raise ConsistencyError("counted moments disagree with the closed forms")
@@ -221,10 +230,6 @@ def _cmd_subset_sum(args, group: Group) -> None:
         "bound_float": float(bound),
         "method": report.method,
     }
-    try:  # the exact values of a large k can pass the interpreter's int-to-str digit limit
-        list(map(str, row.values()))
-    except ValueError as exc:
-        raise CapacityError(f"the exact moments of k={args.k} copies have too many digits to print") from exc
     _emit(args, [row], _config(args, group))
 
 

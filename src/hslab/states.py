@@ -347,22 +347,19 @@ def _check_reps(reps: tuple[Irrep, ...]) -> Group:
     return group
 
 
-def _guard_average(group: Group, out_dim: int) -> None:
-    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
-        raise CapacityError(
-            f"averaging a {out_dim}-dimensional product over {group.order} elements "
-            "exceeds the memory budget"
-        )
-
-
 def _average_product(reps, exponents) -> np.ndarray:
     """Group average of the Kronecker product of rho_j(g^e_j), every e_j being -1 or 1.
 
-    With no factors the product is the 1 x 1 identity.
-    """
+    With no factors the product is the 1 x 1 identity. The |G| stacked
+    products are refused over AVERAGE_STACK_LIMIT entries before any stack is read."""
     if not reps:
         return np.eye(1)
-    inv = reps[0].group.inverse_vector()
+    group, out_dim = reps[0].group, prod(r.dim for r in reps)
+    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
+        raise CapacityError(
+            f"averaging a {out_dim}-dimensional product over {group.order} elements exceeds the memory budget"
+        )
+    inv = group.inverse_vector()
     cur = None
     for r, e in zip(reps, exponents):
         part = r.stack() if e == 1 else r.stack()[inv]
@@ -433,7 +430,6 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
         shape = [n for d in dims for n in (2, d)]
         B = reduce(np.kron, per_copy).reshape(shape * 2)
         return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
-    _guard_average(group, D)
     patterns = list(product((-1, 0, 1), repeat=k))
     avgs = []
     for z in patterns:
@@ -551,11 +547,10 @@ def block_shift_state(group: Group, copies: int, shift: int | None = None) -> Sh
 
 
 def one_copy_state(group: Group, shift: int | None = None) -> ShiftState:
-    """block_shift_state(group, 1, shift), refused where it is, without the
-    stack averages: the averaged blocks start from _one_factor_averages, so
+    """block_shift_state(group, 1, shift) without the stack averages, 4|G|
+    entries in all: the averaged blocks start from _one_factor_averages, so
     they hold exact zeros where the stack averages hold rounding noise, and
     their diagonals, hence their traces, are the same floats."""
-    _guard_block_scan(group, 1)
     reps = irreps(group)
     seeds = _one_factor_averages(reps)
     blocks = {(r.label,): _build_block((r,), shift, seeds) for r in reps}
@@ -647,36 +642,43 @@ def state_spectrum(state: ShiftState) -> SpectrumReport:
     return _report(np.sort(np.concatenate(pieces))[::-1])
 
 
-def _guard_multiset_scan(group: Group, copies: int) -> int:
-    """The estimated work of state_rank and interior_eigenvalue_check, in
-    units of one n^3 of an n x n eigensolve (0.11 ns on S6 k=2, one BLAS
-    thread); CapacityError above MULTISET_WORK_LIMIT. A widest block over
-    BLOCK_DIM_LIMIT, seen from bit lengths alone, is refused first.
+def _guard_counted_rank(group: Group, copies: int) -> int:
+    """The work of _counted_rank, which builds no block and reads no stack, in
+    the units of _guard_multiset_scan: COUNT_MULTISET_WORK + COUNT_ENTRY_WORK
+    k 2^k (330 ns + 7 ns k 2^k measured) for each of the C(n + k - 1, k)
+    multisets of the n irreps; CapacityError above MULTISET_WORK_LIMIT."""
+    if copies < 1:
+        raise DomainError("copies must be a positive integer")
+    # the work is at least 2^k: compare k with a bit length before the power
+    if copies < MULTISET_WORK_LIMIT.bit_length():
+        each = COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * copies * 2 ** copies
+        if (work := comb(len(irreps(group)) + copies - 1, copies) * each) <= MULTISET_WORK_LIMIT:
+            return work
+    raise CapacityError(f"the multiset count of {group.descriptor} with k={copies} exceeds the work budget")
 
-    An abelian multiset is counted (see _abelian_rank) for COUNT_MULTISET_WORK
-    plus COUNT_ENTRY_WORK per entry of its k 2^k bit tuples (330 ns + 7 ns
-    k 2^k measured). Any other costs MULTISET_WORK plus GRID_ENTRY_WORK per
-    exponent of its 4^k cells, its eigensolve (2^k D)^3, PATTERN_STEP_WORK
-    per pattern and |G| D_S^2 per average over three or more nonzero factors
-    S, in all prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The
-    sum runs over multisets of dimensions, each standing for
-    prod_d C(n_d + m_d - 1, m_d) irrep multisets (n_d irreps have dimension
-    d, and m_d copies pick it).
-    """
+
+def _guard_multiset_scan(group: Group, copies: int) -> int:
+    """The estimated work of _multiset_spectra, in units of one n^3 of an
+    n x n eigensolve (0.11 ns on S6 k=2, one BLAS thread), summed over
+    multisets of dimensions, each standing for prod_d C(n_d + m_d - 1, m_d)
+    irrep multisets (n_d irreps have dimension d, and m_d copies pick it).
+    A multiset costs MULTISET_WORK, GRID_ENTRY_WORK per exponent of its 4^k
+    cells, its eigensolve (2^k D)^3, PATTERN_STEP_WORK per pattern and
+    |G| D_S^2 per average over three or more nonzero factors S, in all
+    prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. CapacityError
+    above MULTISET_WORK_LIMIT, or first for a widest block over
+    BLOCK_DIM_LIMIT, seen from bit lengths alone."""
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     counts = Counter(r.dim for r in irreps(group))
 
     def price(ds):
-        if group.is_abelian:
-            each = COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * copies * 2 ** copies
-        else:
-            x = [2 * d * d for d in ds]
-            e1 = sum(x)
-            e2 = (e1 * e1 - sum(v * v for v in x)) // 2
-            each = MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
-            each += ((2 ** copies) * prod(ds)) ** 3 + PATTERN_STEP_WORK * 3 ** copies
-            each += group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
+        x = [2 * d * d for d in ds]
+        e1 = sum(x)
+        e2 = (e1 * e1 - sum(v * v for v in x)) // 2
+        each = MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
+        each += ((2 ** copies) * prod(ds)) ** 3 + PATTERN_STEP_WORK * 3 ** copies
+        each += group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
         return prod(comb(counts[d] + m - 1, m) for d, m in Counter(ds).items()) * each
 
     too_large = (
@@ -692,54 +694,55 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
     return work
 
 
-def _multiset_spectra(group: Group, copies: int, shift: int | None):
-    """Yield (sorted irrep tuple, weight, block eigenvalues), one per multiset
-    of k irreps of a non-abelian group, in combinations_with_replacement order.
+def _multiset_spectra(group: Group, k: int):
+    """Yield (sorted irrep tuple, weight, averaged block eigenvalues), one per
+    multiset of k irreps of a non-abelian group, in combinations_with_replacement order.
 
     Permuting the copies conjugates a block by a permutation, so every
     ordering of a multiset has the spectrum of the sorted tuple; the weight
     D k!/prod(m!) counts the D copies of each of its orderings. The blocks
     come from _build_block with one memo for the scan, started from
-    _one_factor_averages and _schur_pair_averages if averaged.
-    """
-    _guard_multiset_scan(group, copies)
-    k = copies
+    _one_factor_averages and _schur_pair_averages."""
+    _guard_multiset_scan(group, k)
     reps = irreps(group)
-    if shift is not None:
-        group.check_index(shift)
-    memo = _one_factor_averages(reps) if shift is None else {}
-    if shift is None and k > 1:
+    memo = _one_factor_averages(reps)
+    if k > 1:
         memo.update(_schur_pair_averages(reps))
     for combo in combinations_with_replacement(reps, k):
         orderings = factorial(k) // prod(map(factorial, Counter(combo).values()))
         weight = orderings * prod(r.dim for r in combo)
-        yield combo, weight, np.linalg.eigvalsh(_build_block(combo, shift, memo).matrix)
+        yield combo, weight, np.linalg.eigvalsh(_build_block(combo, None, memo).matrix)
 
 
-def _abelian_rank(group: Group, k: int, shift: int | None) -> int:
-    """state_rank of an abelian group, counted RANK_CHUNK_CELLS (multiset,
-    bit tuple) cells at a time. Cell (x, y) of the block of characters
-    (w_1..w_k) is chi_(f(y) - f(x)), f(x) = sum_j x_j w_j. Averaged it is
-    [f(x) == f(y)], of rank the number of distinct values of f; at a fixed
-    shift s, conj(u_x) u_y with u_x = chi_f(x)(s), of rank one. A multiset
-    stands for k!/prod(m!) orderings, m the runs in its sorted row.
-    """
-    _guard_multiset_scan(group, k)
+def _counted_rank(group: Group, k: int, shift: int | None) -> int:
+    """state_rank at a fixed shift, or averaged over an abelian group, counted
+    RANK_CHUNK_CELLS (multiset, bit tuple) cells at a time. A multiset stands
+    for k!/prod(m!) orderings, m the runs in its sorted row, each for D
+    copies of its block. At a fixed shift s the block is, up to a reshuffle,
+    (x)_j [[I, rho_j(s)], [rho_j(s)^H, I]]: 2^k times a projector of rank D.
+    Averaged over an abelian group, cell (x, y) of the block of characters
+    (w_1..w_k) is [f(x) == f(y)], f(x) = sum_j x_j w_j, of rank the number
+    of distinct values of f."""
     if shift is not None:
         group.check_index(shift)
-    labels = np.array([r.label for r in irreps(group)], dtype=np.int64)
-    bits = _bit_tuples(k)
+    _guard_counted_rank(group, k)
+    reps = irreps(group)
+    # a term or sum is at most (2|G|)^k and prod(m!) at most k!: past int64, count in Python ints
+    dtype = np.int64 if max(factorial(k), (2 * group.order) ** k) < 2 ** 63 else object
+    squares = np.array([r.dim ** 2 for r in reps], dtype=dtype)
+    labels = np.array([r.label for r in reps], dtype=np.int64) if shift is None else None
+    bits = _bit_tuples(k) if shift is None else None
     at = np.arange(k)
-    rows = combinations_with_replacement(range(group.order), k)
+    rows = combinations_with_replacement(range(len(reps)), k)
     step = max(1, RANK_CHUNK_CELLS >> k)
     rank = 0
-    for _ in range(0, comb(group.order + k - 1, k), step):
+    for _ in range(0, comb(len(reps) + k - 1, k), step):
         chunk = np.fromiter(chain.from_iterable(islice(rows, step)), np.int64).reshape(-1, k)
         # entry j is the (j - first + 1)-th of its run, so these multiply to prod(m!)
         first = np.maximum.accumulate(np.where(np.diff(chunk, axis=1, prepend=-1) != 0, at, 0), axis=1)
-        weight = factorial(k) // np.prod(at + 1 - first, axis=1)
+        weight = factorial(k) // np.prod(at + 1 - first, axis=1, dtype=dtype)
         if shift is not None:
-            rank += int(weight.sum())
+            rank += int(weight @ np.prod(squares[chunk], axis=1))
             continue
         f = bits @ labels[chunk] % np.array(group.moduli)
         f = np.sort(np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli), axis=1)
@@ -748,12 +751,12 @@ def _abelian_rank(group: Group, k: int, shift: int | None) -> int:
 
 
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
-    """Numeric rank of the k-copy state: counted for an abelian group (see
-    _abelian_rank), else from one block per irrep multiset (see
-    _multiset_spectra) with the cutoff of _numeric_rank."""
-    if group.is_abelian:
-        return _abelian_rank(group, copies, shift)
-    spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies, shift)]
+    """Numeric rank of the k-copy state: counted at a fixed shift and for an
+    abelian group (see _counted_rank), else from one block per irrep
+    multiset (see _multiset_spectra) with the cutoff of _numeric_rank."""
+    if shift is not None or group.is_abelian:
+        return _counted_rank(group, copies, shift)
+    spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies)]
     top = max(float(np.max(np.abs(w))) for _, w in spectra)
     return sum(weight * int(np.count_nonzero(w > RANK_RTOL * top)) for weight, w in spectra)
 
@@ -798,11 +801,11 @@ def interior_eigenvalue_check(
     if not 0 <= margin < 0.5:
         raise DomainError(f"margin must lie in [0, 1/2), not {margin!r}")
     if group.is_abelian:
-        # every averaged block eigenvalue is a class size of f or 0 (see _abelian_rank)
-        _guard_multiset_scan(group, copies)
+        # every averaged block eigenvalue is a class size of f or 0 (see _counted_rank)
+        _guard_counted_rank(group, copies)
         return InteriorEigenvalueReport(found=False)
     scale = 1.0 / (2 * group.order) ** copies
-    for combo, _, w in _multiset_spectra(group, copies, None):
+    for combo, _, w in _multiset_spectra(group, copies):
         inside = w[(w > margin) & (w < 1.0 - margin)]
         if len(inside):
             return InteriorEigenvalueReport(

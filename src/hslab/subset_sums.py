@@ -133,6 +133,12 @@ class MomentReport:
         )
 
 
+def moment_formulas(order: int, copies: int) -> tuple[Fraction, Fraction]:
+    """The closed-form mean and second moment of the solution count under uniform (x, w)."""
+    mean = Fraction(2 ** copies, order)
+    return mean, mean + Fraction(2 ** copies * (2 ** copies - 1), order * order)
+
+
 def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
     _require_abelian(group)
     if copies < 1:
@@ -157,8 +163,7 @@ def moments(group: Group, copies: int, method: str = "auto") -> MomentReport:
     else:
         raise DomainError(f"unknown moments method {method!r}")
 
-    mean_formula = Fraction(2 ** k, N)
-    second_formula = mean_formula + Fraction(2 ** k * (2 ** k - 1), N * N)
+    mean_formula, second_formula = moment_formulas(N, k)
     denom = N ** (k + 1)
     return MomentReport(
         group=group,

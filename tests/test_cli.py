@@ -377,6 +377,32 @@ def test_subset_sum_builds_one_table(monkeypatch, capsys, group, k):
     assert rows[0]["method"] == "table" and rows[0]["rank"] != ""
 
 
+@pytest.mark.parametrize("k,method", [(20000, "auto"), (20000, "table"), (7143, "auto"), (10 ** 12, "auto")])
+def test_subset_sum_refuses_unprintable_moments_before_counting(monkeypatch, capsys, k, method):
+    # the closed-form moments are formatted first, so nothing is counted for
+    # a k whose exact values pass the interpreter's int-to-str digit limit
+    def refuse(*args):
+        raise AssertionError("counted before the digits were checked")
+
+    for name in ("_convolution_totals", "subset_sum_table"):
+        monkeypatch.setattr(hslab.subset_sums, name, refuse)
+    argv = ["subset-sum", "--group", "Z1" if k == 7143 else "Z2", "--k", str(k), "--method", method]
+    assert hslab.cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "CapacityError"
+
+
+def test_s8_fixed_shift_rank_and_one_copy_labels(capsys):
+    # the fixed-shift rank is counted from the weights D^2 k!/prod(m!) and
+    # one copy holds 4|G| entries, so neither meets a block-scan guard
+    assert hslab.cli.main(["rank", "--group", "S8", "--k", "2", "--shift", "3"]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    assert (rows[0]["rank"], rows[0]["closed_form"], rows[0]["agrees"]) == ("1625702400", "1625702400", "true")
+    for shift in ([], ["--shift", "5"]):
+        assert hslab.cli.main(["weak-sample", "--group", "S8", *shift]) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 22 and {row["deviation"] for row in rows} == {"0"}
+
+
 def test_subset_sum_rank_beyond_the_fast_table(capsys):
     # the moments take the convolution; the rank still comes from the table,
     # no longer refused by the price of an enumeration that no longer runs

@@ -32,6 +32,7 @@ from hslab.states import (
     _dense_bytes,
     _density_verdicts,
     _guard_block_scan,
+    _guard_counted_rank,
     _guard_dense,
     _guard_multiset_scan,
     _mixed_block_bytes,
@@ -737,16 +738,17 @@ ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
 
 @pytest.mark.parametrize("name", ABELIAN_TO_16)
 def test_abelian_rank_matches_scan_and_counting(name):
-    # the averaged rank at every k the multiset guard admits (6 for Z16, 12
-    # for Z1), against subset-sum counting wherever the table takes at most
-    # 10^8 steps (2|G|)^k, under a second each, which every k <= 3 fits; the
-    # oracle scan and the fixed shifts, which take seconds beyond 512 tuples
-    # or three copies, up to k = 3
+    # the averaged rank at every k the counted guard admits (6 for Z16, 13
+    # for Z4, 21 for Z1), against subset-sum counting wherever the table
+    # takes at most 10^8 steps (2|G|)^k, under a second each, which every
+    # k <= 3 fits, or holds at most 2^22 cells, which every admitted k of Z1
+    # to Z3 fits; the oracle scan and the fixed shifts, which take seconds
+    # beyond 512 tuples or three copies, up to k = 3
     G = parse_group(name)
     k = 1
     while k <= 3 or _admitted(G, k):
         rank = state_rank(G, k)
-        if (2 * G.order) ** k <= 10 ** 8:
+        if (2 * G.order) ** k <= 10 ** 8 or G.order ** (k + 1) <= 2 ** 22:
             assert rank == subset_sum_rank(G, k)
         if k <= 3 and G.order ** k <= 512:
             assert rank == _oracle_scan_rank(G, k)
@@ -757,7 +759,7 @@ def test_abelian_rank_matches_scan_and_counting(name):
 
 def _admitted(G, k):
     try:
-        _guard_multiset_scan(G, k)
+        _guard_counted_rank(G, k)
     except CapacityError:
         return False
     return True
@@ -781,12 +783,53 @@ def test_twelve_copy_rank_by_counting():
 
 @pytest.mark.parametrize(
     "name,k",
-    [("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1), ("Z1", 13), ("Z1365", 2), ("Z4096", 2)],
+    [
+        ("S6", 3), ("S5", 3), ("S4", 4), ("S7", 2), ("S8", 1),
+        ("Z1", 22), ("Z2", 18), ("Z4", 14), ("Z1365", 2), ("Z4096", 2),
+    ],
 )
 def test_state_rank_refusals(name, k):
     G = parse_group(name)
     _, peak = _peak_of(lambda: _refused(lambda: state_rank(G, k)))
     assert peak < 10 * 2 ** 20
+
+
+def test_abelian_ranks_past_twelve_copies():
+    # refused by the block-width check of the multiset guard at k = 13,
+    # though no block is built: counted, the last admitted k are 21 for Z1,
+    # 17 for Z2 and 13 for Z4. Z1 k=21 holds its int64 bit tuples, 21 x 2^21
+    # entries (336 MiB); Z4 k=13 was checked against a subset-sum table built
+    # a slice at a time, since the whole one is 1 GiB
+    rank, peak = _peak_of(lambda: state_rank(parse_group("Z1"), 13))
+    assert rank == 1 and peak < 4 * 2 ** 20
+    rank, peak = _peak_of(lambda: state_rank(parse_group("Z1"), 21))
+    assert rank == subset_sum_rank(parse_group("Z1"), 21) == 1
+    assert peak < 400 * 2 ** 20
+    assert state_rank(parse_group("Z2"), 17) == subset_sum_rank(parse_group("Z2"), 17)
+    assert state_rank(parse_group("Z4"), 13) == 268418707
+
+
+@pytest.mark.parametrize("name,k", [("S8", 6), ("S8", 10 ** 9), ("S6", 8), ("Z1", 22), ("Z4096", 2)])
+def test_fixed_shift_rank_refusals(name, k):
+    # the counted price compares k with a bit length before any power, so
+    # even an absurd k is refused before anything is allocated
+    G = parse_group(name)
+    irreps(G)
+    _, peak = _peak_of(lambda: _refused(lambda: state_rank(G, k, G.order - 1)))
+    assert peak < 2 ** 20
+
+
+def test_fixed_shift_ranks_are_counted_exactly():
+    # 40320^5 and every weight D^2 k!/prod(m!) of S8 k=5 pass int64, as does
+    # 21! for Z1 k=21: both are summed as Python ints
+    G = parse_group("S8")
+    rank, peak = _peak_of(lambda: state_rank(G, 5, 3))
+    assert rank == 40320 ** 5 == 106562062388507443200000
+    assert peak < 8 * 2 ** 20
+    assert state_rank(G, 2, 3) == 1625702400
+    assert state_rank(parse_group("Z1"), 21, 0) == 1
+    with pytest.raises(DomainError):
+        state_rank(G, 10 ** 9, G.order)
 
 
 def test_two_copy_abelian_rank_by_counting():
@@ -797,7 +840,7 @@ def test_two_copy_abelian_rank_by_counting():
         rank, peak = _peak_of(lambda: state_rank(G, 2))
         assert rank == rank_closed_form(G, 2)
         assert peak < 8 * 2 ** 20
-    _guard_multiset_scan(parse_group("Z1364"), 2)
+    _guard_counted_rank(parse_group("Z1364"), 2)
 
 
 def test_counted_rank_holds_no_spectra():
@@ -819,7 +862,7 @@ def test_largest_abelian_three_copy_rank():
     assert peak < 32 * 2 ** 20
     G = parse_group("Z65")
     assert state_rank(G, 3) == subset_sum_rank(G, 3)
-    _guard_multiset_scan(parse_group("Z165"), 3)
+    _guard_counted_rank(parse_group("Z165"), 3)
     with pytest.raises(CapacityError):
         state_rank(parse_group("Z166"), 3)
 
@@ -851,7 +894,7 @@ def test_largest_abelian_four_copy_rank():
     assert peak < 16 * 2 ** 20
     G = parse_group("Z26")
     assert state_rank(G, 4) == subset_sum_rank(G, 4)
-    _guard_multiset_scan(parse_group("Z58"), 4)
+    _guard_counted_rank(parse_group("Z58"), 4)
     with pytest.raises(CapacityError):
         state_rank(parse_group("Z59"), 4)
 
@@ -1024,15 +1067,17 @@ def test_complex_stacks_fall_back_to_stack_averages():
 
 def test_multiset_scan_work_counts_every_pattern():
     # the estimate of _guard_multiset_scan against every irrep multiset and
-    # every pattern counted one by one
-    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2), ("Z4", 3), ("Z3xZ3", 8)]:
+    # every pattern counted one by one, and that of _guard_counted_rank
+    # against every irrep multiset
+    for name, k in [("Z4", 3), ("Z3xZ3", 8), ("S4", 3), ("S8", 2)]:
+        G = parse_group(name)
+        want = len(list(combinations_with_replacement(irreps(G), k)))
+        assert _guard_counted_rank(G, k) == want * (COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * k * 2 ** k)
+    for name, k in [("S3", 3), ("S3", 5), ("S4", 3), ("S5", 2)]:
         G = parse_group(name)
         want = 0
         for combo in combinations_with_replacement(irreps(G), k):
             ds = [r.dim for r in combo]
-            if G.is_abelian:
-                want += COUNT_MULTISET_WORK + COUNT_ENTRY_WORK * k * 2 ** k
-                continue
             want += ((2 ** k) * prod(ds)) ** 3 + MULTISET_WORK + GRID_ENTRY_WORK * k * 4 ** k
             for z in product((-1, 0, 1), repeat=k):
                 want += PATTERN_STEP_WORK
@@ -1099,23 +1144,24 @@ WEIGHT_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 17)]
 
 @pytest.mark.parametrize("name", WEIGHT_GROUPS)
 def test_multiset_weights_count_every_dimension(name):
-    # the weights D k!/prod(m!) times the block sizes 2^k D fill (2|G|)^k,
-    # for every k that the scan's own guard admits; an abelian group's
-    # fixed-shift blocks have rank one, so its counted rank is the sum of the
-    # weights, which must be |G|^k
+    # a fixed-shift block is 2^k times a projector of rank D, so the counted
+    # rank is the sum of the weights D^2 k!/prod(m!), which must be |G|^k
+    # at every k the counted guard admits; the averaged weights D k!/prod(m!)
+    # times the block sizes 2^k D fill (2|G|)^k, for every k that the scan's
+    # own guard admits
     G = parse_group(name)
+    for k in _tuple_scan_copies(G, _guard_counted_rank):
+        for shift in dict.fromkeys((1 % G.order, G.order - 1)):
+            assert state_rank(G, k, shift) == G.order ** k, (k, shift)
+    if G.is_abelian:
+        return
     for k in _tuple_scan_copies(G, _guard_multiset_scan):
-        if G.is_abelian:
-            for shift in dict.fromkeys((1 % G.order, G.order - 1)):
-                assert state_rank(G, k, shift) == G.order ** k, (k, shift)
-            continue
-        for shift in (None, 1 % G.order):
-            spectra = list(_multiset_spectra(G, k, shift))
-            assert [combo for combo, _, _ in spectra] == list(
-                combinations_with_replacement(irreps(G), k)
-            )
-            total = sum(weight * len(w) for _, weight, w in spectra)
-            assert total == (2 * G.order) ** k, (k, shift)
+        spectra = list(_multiset_spectra(G, k))
+        assert [combo for combo, _, _ in spectra] == list(
+            combinations_with_replacement(irreps(G), k)
+        )
+        total = sum(weight * len(w) for _, weight, w in spectra)
+        assert total == (2 * G.order) ** k, k
 
 
 @pytest.mark.parametrize("name", [f"S{n}" for n in range(1, 7)] + ABELIAN_TO_16)
@@ -1147,6 +1193,13 @@ def test_one_copy_outputs_read_no_stack(monkeypatch):
     assert max(abs(dist[r.label] - r.dim ** 2 / G.order) for r in irreps(G)) <= 1e-15
     assert state_rank(G, 1) == rank_closed_form(G, 1)
     assert interior_eigenvalue_check(G, 1).found is False
+    # S8 one copy, averaged and at a shift, and its counted fixed-shift rank;
+    # the averaged rank stays refused, by the stack check of the multiset guard
+    G = symmetric_group(8)
+    for shift in (None, 5):
+        dist = weak_sampling_distribution(one_copy_state(G, shift))
+        assert max(abs(dist[r.label] - r.dim ** 2 / G.order) for r in irreps(G)) <= 1e-15
+    assert state_rank(G, 1, 5) == G.order
 
 
 def _oracle_single_copy_dense(group, s):
