@@ -149,14 +149,14 @@ class Povm:
         gram = (self.vectors.conj().T * self.weights) @ self.vectors
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if np.any(self.weights <= 0):
             raise ConsistencyError("POVM weights must be positive")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ConsistencyError("POVM vectors must be unit length")
         resid = self.completeness_residual()
-        if resid > tol:
+        if resid > 1e-10:
             raise ConsistencyError(f"POVM effects do not sum to identity ({resid:.3e})")
 
 
@@ -401,13 +401,13 @@ class SweepReport:
     def rows(self) -> list[dict]:
         return [asdict(s) for s in self.samples]
 
-    def summary(self, thresholds=(1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1)) -> dict:
+    def summary(self) -> dict:
         tvs = np.array([s.tv for s in self.samples])
         quantiles = {
             q: float(np.quantile(tvs, q / 100.0)) for q in (0, 25, 50, 75, 100)
         }
         exceeding = {
-            f"{t:.0e}": float(np.mean(tvs > t)) for t in thresholds
+            f"{t:.0e}": float(np.mean(tvs > t)) for t in (1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1)
         }
         by_dim: dict[int, int] = {}
         for s in self.samples:

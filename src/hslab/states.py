@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .groups import Group, SubgroupEmbedding
-from .irreps import _STACK_ELEMENT_LIMIT, Irrep, fourier, irreps, kron_stack
+from .irreps import Irrep, fourier, irreps, kron_stack
 
 DENSE_BYTES_LIMIT = 2 ** 31
 DENSE_WORKING_MATRICES = 6
@@ -576,13 +576,14 @@ class SpectrumReport:
 
 def _report(desc: np.ndarray) -> SpectrumReport:
     """SpectrumReport of eigenvalues already in descending order."""
+    rank = _numeric_rank(desc)
     return SpectrumReport(
         dim=len(desc),
         eigenvalues=desc,
         clusters=tuple(_cluster(desc)),
-        rank=_numeric_rank(desc),
+        rank=rank,
         max_eigenvalue=float(desc[0]),
-        min_nonzero=_min_nonzero(desc),
+        min_nonzero=float(desc[rank - 1]) if rank else None,
     )
 
 
@@ -624,12 +625,6 @@ def _numeric_rank(values: np.ndarray) -> int:
     return int(np.sum(values > RANK_RTOL * top))
 
 
-def _min_nonzero(desc: np.ndarray) -> float | None:
-    """The smallest eigenvalue _numeric_rank keeps; desc is in descending order."""
-    rank = _numeric_rank(desc)
-    return float(desc[rank - 1]) if rank else None
-
-
 def state_spectrum(state: ShiftState) -> SpectrumReport:
     """Spectrum of a state on the state scale, from either representation."""
     if state.form == "dense":
@@ -659,18 +654,17 @@ def _guard_counted_rank(group: Group, copies: int) -> int:
 
 def _guard_multiset_scan(group: Group, copies: int) -> int:
     """The estimated work of _multiset_spectra, in units of one n^3 of an
-    n x n eigensolve (0.11 ns on S6 k=2, one BLAS thread), summed over
-    multisets of dimensions, each standing for prod_d C(n_d + m_d - 1, m_d)
-    irrep multisets (n_d irreps have dimension d, and m_d copies pick it).
-    A multiset costs MULTISET_WORK, GRID_ENTRY_WORK per exponent of its 4^k
-    cells, its eigensolve (2^k D)^3, PATTERN_STEP_WORK per pattern and
-    |G| D_S^2 per average over three or more nonzero factors S, in all
+    n x n eigensolve (0.11 ns on S6 k=2, one BLAS thread), summed over the
+    irrep multisets it walks, each seen as its dimensions d_1..d_k. One
+    costs MULTISET_WORK, GRID_ENTRY_WORK per exponent of its 4^k cells, its
+    eigensolve (2^k D)^3, PATTERN_STEP_WORK per pattern and |G| D_S^2 per
+    average over three or more nonzero factors S, in all
     prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. CapacityError
     above MULTISET_WORK_LIMIT, or first for a widest block over
     BLOCK_DIM_LIMIT, seen from bit lengths alone."""
     if copies < 1:
         raise DomainError("copies must be a positive integer")
-    counts = Counter(r.dim for r in irreps(group))
+    dims = [r.dim for r in irreps(group)]
 
     def price(ds):
         x = [2 * d * d for d in ds]
@@ -678,14 +672,11 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
         e2 = (e1 * e1 - sum(v * v for v in x)) // 2
         each = MULTISET_WORK + GRID_ENTRY_WORK * copies * 4 ** copies
         each += ((2 ** copies) * prod(ds)) ** 3 + PATTERN_STEP_WORK * 3 ** copies
-        each += group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
-        return prod(comb(counts[d] + m - 1, m) for d, m in Counter(ds).items()) * each
+        return each + group.order * (prod(1 + v for v in x) - 1 - e1 - e2)
 
     too_large = (
-        copies * ((2 * max(counts)).bit_length() - 1) >= BLOCK_DIM_LIMIT.bit_length()
-        or group.order * max(counts) ** 2 > _STACK_ELEMENT_LIMIT
-        or (work := sum(map(price, combinations_with_replacement(sorted(counts), copies))))
-        > MULTISET_WORK_LIMIT
+        copies * ((2 * max(dims)).bit_length() - 1) >= BLOCK_DIM_LIMIT.bit_length()
+        or (work := sum(map(price, combinations_with_replacement(dims, copies)))) > MULTISET_WORK_LIMIT
     )
     if too_large:
         raise CapacityError(
@@ -731,7 +722,9 @@ def _counted_rank(group: Group, k: int, shift: int | None) -> int:
     dtype = np.int64 if max(factorial(k), (2 * group.order) ** k) < 2 ** 63 else object
     squares = np.array([r.dim ** 2 for r in reps], dtype=dtype)
     labels = np.array([r.label for r in reps], dtype=np.int64) if shift is None else None
-    bits = _bit_tuples(k) if shift is None else None
+    # past 12 copies f adds its values over the first h copies to those over the last 12
+    h = max(0, k - 12)
+    high, low = _bit_tuples(h), _bit_tuples(k - h)
     at = np.arange(k)
     rows = combinations_with_replacement(range(len(reps)), k)
     step = max(1, RANK_CHUNK_CELLS >> k)
@@ -744,21 +737,27 @@ def _counted_rank(group: Group, k: int, shift: int | None) -> int:
         if shift is not None:
             rank += int(weight @ np.prod(squares[chunk], axis=1))
             continue
-        f = bits @ labels[chunk] % np.array(group.moduli)
-        f = np.sort(np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli), axis=1)
-        rank += int(weight @ (1 + np.count_nonzero(np.diff(f, axis=1), axis=1)))
+        f = low @ labels[chunk[:, h:]]
+        if h:
+            f = (high @ labels[chunk[:, :h]])[:, :, None] + f[:, None]
+        f %= np.array(group.moduli)
+        f = np.ravel_multi_index(tuple(np.moveaxis(f, -1, 0)), group.moduli).reshape(len(chunk), -1)
+        f.sort(axis=1)
+        rank += int(weight @ (1 + np.count_nonzero(f[:, 1:] != f[:, :-1], axis=1)))
     return rank
 
 
 def state_rank(group: Group, copies: int, shift: int | None = None) -> int:
     """Numeric rank of the k-copy state: counted at a fixed shift and for an
-    abelian group (see _counted_rank), else from one block per irrep
-    multiset (see _multiset_spectra) with the cutoff of _numeric_rank."""
+    abelian group (see _counted_rank), else from one block per irrep multiset
+    (see _multiset_spectra), above RANK_RTOL times the top block eigenvalue
+    2^k (of the trivial all-ones block), formed after the scan's guard."""
     if shift is not None or group.is_abelian:
         return _counted_rank(group, copies, shift)
-    spectra = [(weight, w) for _, weight, w in _multiset_spectra(group, copies)]
-    top = max(float(np.max(np.abs(w))) for _, w in spectra)
-    return sum(weight * int(np.count_nonzero(w > RANK_RTOL * top)) for weight, w in spectra)
+    return sum(
+        weight * int(np.count_nonzero(w > RANK_RTOL * 2 ** copies))
+        for _, weight, w in _multiset_spectra(group, copies)
+    )
 
 
 def rank_closed_form(group: Group, copies: int) -> int:
@@ -804,13 +803,12 @@ def interior_eigenvalue_check(
         # every averaged block eigenvalue is a class size of f or 0 (see _counted_rank)
         _guard_counted_rank(group, copies)
         return InteriorEigenvalueReport(found=False)
-    scale = 1.0 / (2 * group.order) ** copies
     for combo, _, w in _multiset_spectra(group, copies):
         inside = w[(w > margin) & (w < 1.0 - margin)]
         if len(inside):
             return InteriorEigenvalueReport(
                 found=True,
-                witness=float(inside.min()) * scale,
+                witness=float(inside.min()) * (1.0 / (2 * group.order) ** copies),
                 labels=tuple(r.label for r in combo),
                 block_eigenvalue=float(inside.min()),
             )
@@ -887,13 +885,13 @@ def dense_from_blocks(state: ShiftState) -> np.ndarray:
 # subgroup restriction
 
 
-def subgroup_restriction_check(emb: SubgroupEmbedding, tol: float = 1e-9) -> bool:
+def subgroup_restriction_check(emb: SubgroupEmbedding) -> bool:
     """Verify the tensor factorization of states with shifts from a subgroup.
 
     When the hidden shift ranges over an embedded subgroup H of G, the
     single-copy G-state reordered by the coset factorization g = t * iota(h)
     equals (H-state) (x) (maximally mixed on the |G|/|H| transversal slots).
-    Checked per fixed shift and for the H-averaged mixture.
+    Checked per fixed shift and for the H-averaged mixture, within 1e-9.
     """
     G, H = emb.parent, emb.subgroup
     m = G.order // H.order
@@ -909,11 +907,11 @@ def subgroup_restriction_check(emb: SubgroupEmbedding, tol: float = 1e-9) -> boo
         avg_G += dense_G
         avg_H += dense_H
         lhs = dense_G[np.ix_(perm, perm)]
-        if np.max(np.abs(lhs - np.kron(dense_H, mix))) > tol:
+        if np.max(np.abs(lhs - np.kron(dense_H, mix))) > 1e-9:
             return False
     lhs = (avg_G / H.order)[np.ix_(perm, perm)]
     rhs = np.kron(avg_H / H.order, mix)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - rhs)) <= 1e-9)
 
 
 # ---------------------------------------------------------------------------

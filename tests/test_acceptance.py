@@ -412,7 +412,7 @@ def test_11_subgroup_factorizations(acceptance_report):
         ("Z4 over its index-2 subgroup", abelian_subgroup_of_abelian(abelian_group(4), (2,))),
         ("S4 over two commuting transpositions", abelian_subgroup_of_symmetric(4, (2, 2))),
     ]
-    bad = [name for name, emb in cases if not subgroup_restriction_check(emb, tol=1e-9)]
+    bad = [name for name, emb in cases if not subgroup_restriction_check(emb)]
     record(
         acceptance_report,
         11,
