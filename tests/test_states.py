@@ -795,6 +795,19 @@ def test_state_rank_refusals(name, k):
     assert peak < 10 * 2 ** 20
 
 
+@pytest.mark.parametrize("name,k", [("S8", 1)])
+def test_state_rank_admissions(name, k):
+    # once refused by a stack pre-check, |G| max(d)^2 > 8e6, though a one-copy
+    # averaged block reads no stack; admitted, it is the closed form within
+    # the refusals' memory bound
+    G = parse_group(name)
+    irreps(G)
+    rank, peak = _peak_of(lambda: state_rank(G, k))
+    assert rank == rank_closed_form(G, k)
+    assert peak < 10 * 2 ** 20
+    assert interior_eigenvalue_check(G, k).found is False
+
+
 @pytest.mark.parametrize("k", [10 ** 4, 10 ** 6])
 def test_absurd_scan_copy_counts_are_refused_quickly(k):
     # the multiset guard compares k with a bit length before any power of k,
