@@ -347,6 +347,13 @@ def _check_reps(reps: tuple[Irrep, ...]) -> Group:
     return group
 
 
+def _check_average_budget(group: Group, out_dim: int) -> None:
+    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
+        raise CapacityError(
+            f"averaging a {out_dim}-dimensional product over {group.order} elements exceeds the memory budget"
+        )
+
+
 def _average_product(reps, exponents) -> np.ndarray:
     """Group average of the Kronecker product of rho_j(g^e_j), every e_j being -1 or 1.
 
@@ -354,11 +361,8 @@ def _average_product(reps, exponents) -> np.ndarray:
     products are refused over AVERAGE_STACK_LIMIT entries before any stack is read."""
     if not reps:
         return np.eye(1)
-    group, out_dim = reps[0].group, prod(r.dim for r in reps)
-    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
-        raise CapacityError(
-            f"averaging a {out_dim}-dimensional product over {group.order} elements exceeds the memory budget"
-        )
+    group = reps[0].group
+    _check_average_budget(group, prod(r.dim for r in reps))
     inv = group.inverse_vector()
     cur = None
     for r, e in zip(reps, exponents):
@@ -403,10 +407,39 @@ def _bit_tuples(k: int) -> np.ndarray:
     return np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
 
 
+def _signed_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron_stack of every sign slice of a with every one of b, sign-major:
+    (P, |G|, m, m) and (S, |G|, n, n) give (P S, |G|, m n, m n)."""
+    out = np.einsum("pgij,sgkl->psgikjl", a, b)
+    return out.reshape(len(a) * len(b), a.shape[1], a.shape[2] * b.shape[2], a.shape[3] * b.shape[3])
+
+
+def _signed_averages(reps: tuple[Irrep, ...], memo: dict) -> np.ndarray:
+    """The 2^k averages _average_product(reps, e), e in product((-1, 1)), as
+    one (2^k, D, D) array, k >= 2; bit for bit the same, as every stacked
+    product is the same left fold of entrywise products. The signed stack of
+    the first k - 1 factors, (2^(k-1), |G|, D', D'), is kept in memo under
+    their labels; the limit on |G| D^2 is checked before any stack is read."""
+    group = reps[0].group
+    _check_average_budget(group, prod(r.dim for r in reps))
+    inv = group.inverse_vector()
+
+    def signed(r):
+        return np.stack([r.stack()[inv], r.stack()])
+
+    key = ("signed prefix", *(r.label for r in reps[:-1]))
+    prefix = memo.get(key)
+    if prefix is None:
+        prefix = memo[key] = reduce(_signed_kron, map(signed, reps[1:-1]), signed(reps[0]))
+    return _signed_kron(prefix, signed(reps[-1])).mean(axis=1)
+
+
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
     """state_block, taking the average of every nonzero-exponent pattern from
     memo when it is there. The averages over fewer than k nonzero factors,
-    which recur across the irrep tuples of one scan, are stored in memo."""
+    which recur across the irrep tuples of one scan, are stored in memo. For
+    k >= 2 the all-nonzero patterns missing from memo are taken together by
+    _signed_averages, whose prefix stack memo keeps; for k = 1 one by one."""
     k = len(reps)
     if k < 1:
         raise DomainError("at least one irrep is required")
@@ -431,12 +464,17 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
         B = reduce(np.kron, per_copy).reshape(shape * 2)
         return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
     patterns = list(product((-1, 0, 1), repeat=k))
-    avgs = []
+    avgs, signed = [], None
     for z in patterns:
         nz = [j for j in range(k) if z[j]]
         key = tuple((labels[j], z[j]) for j in nz)
         avg = memo.get(key)
-        if avg is None:
+        if avg is None and len(nz) == k > 1:
+            if signed is None:
+                signed = _signed_averages(reps, memo)
+            # z is entry sum_j [z_j = 1] 2^(k-1-j) of product((-1, 1))
+            avg = signed[sum((e > 0) << (k - 1 - j) for j, e in enumerate(z))]
+        elif avg is None:
             avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
             if len(nz) < k:
                 memo[key] = avg
@@ -510,7 +548,10 @@ def _guard_block_scan(group: Group, copies: int) -> None:
 
     Bounds both the elements held while averaging representation products
     (3^k patterns, each |G| stacked matrices totalling |G|^k entries) and
-    the cubic eigensolver cost summed over every block.
+    the cubic eigensolver cost summed over every block. As D^2 = prod d_j^2
+    <= |G|^k, the batch of a tuple's 2^k all-nonzero averages holds 2^k |G|
+    D^2 <= 2^k |G|^(k+1) entries, and the prefix stacks the scan keeps
+    2^(k-1) |G| (sum d^2)^(k-1) = 2^(k-1) |G|^k: together within 3^k |G|^(k+1).
     """
     if copies < 1:
         raise DomainError("copies must be a positive integer")
@@ -608,14 +649,8 @@ def spectrum(M: np.ndarray) -> SpectrumReport:
 
 
 def _cluster(desc: np.ndarray) -> list[tuple[float, int]]:
-    out: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(desc) + 1):
-        if i == len(desc) or desc[i - 1] - desc[i] > CLUSTER_TOL:
-            chunk = desc[start:i]
-            out.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return out
+    cuts = [0, *(np.flatnonzero(desc[:-1] - desc[1:] > CLUSTER_TOL) + 1).tolist(), len(desc)]
+    return [(float(desc[a:b].mean()), b - a) for a, b in zip(cuts, cuts[1:])]
 
 
 def _numeric_rank(values: np.ndarray) -> int:
@@ -801,7 +836,8 @@ def interior_eigenvalue_check(
         raise DomainError(f"margin must lie in [0, 1/2), not {margin!r}")
     if group.is_abelian:
         # every averaged block eigenvalue is a class size of f or 0 (see _counted_rank)
-        _guard_counted_rank(group, copies)
+        if copies < 1:
+            raise DomainError("copies must be a positive integer")
         return InteriorEigenvalueReport(found=False)
     for combo, _, w in _multiset_spectra(group, copies):
         inside = w[(w > margin) & (w < 1.0 - margin)]

@@ -7,15 +7,20 @@
 * Dense k-copy states as Kronecker powers of the one-copy matrix, summed
   shift by shift for the averaged state; the package writes the same
   nonzeros straight into one zeroed matrix.
+* The averaged block build with one `_average_product` per nonzero-exponent
+  pattern; the package takes a tuple's all-nonzero patterns in one batch.
+* Eigenvalue clusters cut by a loop over the eigenvalues; the package finds
+  the cut points in one vectorized comparison.
 """
 
 from functools import reduce
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import numpy as np
 
 from hslab.errors import DomainError
-from hslab.states import _single_copy_positions
+from hslab.states import CLUSTER_TOL, _average_product, _bit_tuples, _pad_identity, _single_copy_positions
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -77,3 +82,44 @@ def averaged_shift_state_dense_kron(group, copies: int) -> np.ndarray:
     for s in group.elements():
         acc += shift_state_dense_kron(group, s, copies)
     return acc / group.order
+
+
+def averaged_block_per_pattern(reps, memo: dict) -> np.ndarray:
+    """The averaged block of an irrep tuple, each of its 3^k patterns read from
+    memo or taken by its own _average_product, and the averages over fewer
+    than k nonzero factors stored in memo, as in the scans."""
+    k, labels, dims = len(reps), tuple(r.label for r in reps), [r.dim for r in reps]
+    D = prod(dims)
+    patterns = list(product((-1, 0, 1), repeat=k))
+    avgs = []
+    for z in patterns:
+        nz = [j for j in range(k) if z[j]]
+        key = tuple((labels[j], z[j]) for j in nz)
+        avg = memo.get(key)
+        if avg is None:
+            avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
+            if len(nz) < k:
+                memo[key] = avg
+        avgs.append(avg)
+    parts = np.zeros((3 ** k, D, D), dtype=np.result_type(np.float64, *(a.dtype for a in avgs)))
+    for zi, (z, avg) in enumerate(zip(patterns, avgs)):
+        if all(z):
+            parts[zi] = avg
+        else:
+            _pad_identity(parts[zi], dims, z, avg)
+    f = _bit_tuples(k) @ 3 ** np.arange(k - 1, -1, -1)
+    cells = f[None, :] - f[:, None] + (3 ** k - 1) // 2
+    return parts[cells].transpose(0, 2, 1, 3).reshape((2 ** k) * D, (2 ** k) * D)
+
+
+def cluster_per_eigenvalue(desc: np.ndarray) -> list[tuple[float, int]]:
+    """(mean, size) of each run of descending eigenvalues whose steps are at
+    most CLUSTER_TOL, one eigenvalue at a time."""
+    out = []
+    start = 0
+    for i in range(1, len(desc) + 1):
+        if i == len(desc) or desc[i - 1] - desc[i] > CLUSTER_TOL:
+            chunk = desc[start:i]
+            out.append((float(chunk.mean()), len(chunk)))
+            start = i
+    return out

@@ -1,6 +1,7 @@
 """End-to-end command line checks via subprocess."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -317,6 +318,25 @@ def test_input_error_precedence(capsys, argv, code, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["message"].startswith(message)
+
+
+# sha256 of `hslab spectrum --group G --k K --format json` with one BLAS
+# thread: JSON prints every float in full, so these pin the rounding noise of
+# the stack-averaged blocks that spectrum prints
+SPECTRUM_JSON_SHA256 = {
+    ("S4", "3"): "f8507e465529714a1f8fbc54746b2bb66cebf682aceb91852a391f18fdb85667",
+    ("S3", "4"): "f8cdbb7eaafe6f23ac8613794f8e8f7bccd994471521671a7fce52acfef2e7d4",
+}
+
+
+@pytest.mark.parametrize("group,k", list(SPECTRUM_JSON_SHA256))
+def test_spectrum_json_golden_digest(group, k):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hslab.cli", "spectrum", "--group", group, "--k", k, "--format", "json"],
+        capture_output=True, env=env, check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == SPECTRUM_JSON_SHA256[group, k]
 
 
 def test_rank_s6_two_copies_golden():

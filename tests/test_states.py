@@ -1,5 +1,8 @@
 """State constructions: dense vs block forms, spectra, ranks, factorizations."""
 
+import json
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -25,11 +28,13 @@ from hslab.states import (
     COUNT_ENTRY_WORK,
     COUNT_MULTISET_WORK,
     GRID_ENTRY_WORK,
+    InteriorEigenvalueReport,
     MULTISET_WORK,
     PATTERN_STEP_WORK,
     ShiftState,
     _average_product,
     _build_block,
+    _cluster,
     _dense_bytes,
     _density_verdicts,
     _guard_block_scan,
@@ -62,7 +67,13 @@ from hslab.states import (
 )
 from hslab.subset_sums import subset_sum_rank
 
-from oracles import averaged_shift_state_dense_kron, shift_state_dense_kron, single_copy_dense
+from oracles import (
+    averaged_block_per_pattern,
+    averaged_shift_state_dense_kron,
+    cluster_per_eigenvalue,
+    shift_state_dense_kron,
+    single_copy_dense,
+)
 
 
 def test_shift_pair_vector_entries():
@@ -606,6 +617,52 @@ def test_capacity_guards():
         state_block((big,), None)
 
 
+# tracemalloc peaks of the scans the block-scan guard admits, each taken on
+# its second run, once its stacks are built, with one _average_product per
+# pattern (bytes); the stacked inverse of the 35-dimensional S7 irrep is
+# 47 MiB of the first
+PER_PATTERN_SCAN_PEAKS = {
+    ("spectrum_rows", "S7", 1): 49420830,
+    ("spectrum_rows", "S6", 1): 1481572,
+    ("spectrum_rows", "S5", 2): 1569265,
+    ("spectrum_rows", "S4", 3): 1996038,
+    ("spectrum_rows", "S3", 4): 2757352,
+    ("state_rank", "S6", 2): 23181096,
+    ("state_rank", "S3", 5): 19278112,
+}
+
+_SCAN_PEAKS_SCRIPT = """
+import json, sys, tracemalloc
+from hslab.groups import parse_group
+from hslab import states
+peaks = []
+for fn, name, k in json.loads(sys.argv[1]):
+    G = parse_group(name)
+    getattr(states, fn)(G, k)
+    tracemalloc.start()
+    getattr(states, fn)(G, k)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_block_scan_peaks_stay_near_the_per_pattern_build():
+    # a batch holds 2^k |G| D^2 entries and the prefix memo at most
+    # 2^(k-1) |G|^k: within 4 MiB of the per-pattern build on these scans,
+    # and the S7 one-copy scan, which batches nothing, within 5%; measured in
+    # a child process, so the S7 stacks (203 MB) do not outlive the test
+    cases = list(PER_PATTERN_SCAN_PEAKS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN_PEAKS_SCRIPT, json.dumps(cases)],
+        capture_output=True, text=True, check=True,
+    )
+    for case, peak in zip(cases, json.loads(proc.stdout)):
+        before = PER_PATTERN_SCAN_PEAKS[case]
+        bound = 1.05 * before if case[1] == "S7" else before + 4 * 2 ** 20
+        assert peak <= bound, (case, peak, before)
+
+
 def test_spectrum_rows_contents():
     rows = spectrum_rows(abelian_group(2), 1)
     by_label = {(r["tuple_label"], r["eigenvalue"]): r["multiplicity"] for r in rows}
@@ -730,6 +787,68 @@ def test_block_build_matches_power_block_assembly(name, k):
         assert spectrum_rows(G, k, shift) == expected
 
 
+# the batched sign averages against one _average_product per pattern
+
+BATCH_ORDERED = [("S1", 8), ("S2", 5), ("S3", 4), ("S4", 3), ("S5", 2), ("Z8", 3), ("Z2xZ4", 3)]
+BATCH_ORDERED_CASES = [(name, k) for name, top in BATCH_ORDERED for k in range(1, top + 1)]
+BATCH_MULTISET_CASES = [("S2", 7), ("S3", 5), ("S4", 3), ("S5", 2), ("S4", 1), ("S5", 1)]
+
+
+@pytest.mark.parametrize("name,k", BATCH_ORDERED_CASES, ids=[f"{n}-k{k}" for n, k in BATCH_ORDERED_CASES])
+def test_ordered_scan_blocks_match_per_pattern_build(name, k):
+    # spectrum_rows prints the rounding noise of these blocks, so every
+    # block of the scan must be the very same bytes
+    G = parse_group(name)
+    memo: dict = {}
+    for reps, blk in _scan_blocks(G, k, None):
+        want = averaged_block_per_pattern(reps, memo)
+        assert blk.matrix.dtype == want.dtype
+        assert blk.matrix.tobytes() == want.tobytes(), blk.labels
+
+
+@pytest.mark.parametrize("name,k", BATCH_MULTISET_CASES, ids=[f"{n}-k{k}" for n, k in BATCH_MULTISET_CASES])
+def test_multiset_scan_blocks_match_per_pattern_build(name, k, monkeypatch):
+    # both builds start from the memo _multiset_spectra seeds; at k <= 2 all
+    # of its patterns come from that memo, so no stack may be read
+    G = parse_group(name)
+    reps = irreps(G)
+
+    def seeded():
+        memo = _one_factor_averages(reps)
+        if k > 1:
+            memo.update(_schur_pair_averages(reps))
+        return memo
+
+    ours, theirs = seeded(), seeded()
+    combos = list(combinations_with_replacement(reps, k))
+    if k <= 2:
+        monkeypatch.setattr(Irrep, "stack", lambda self: pytest.fail(f"stack of {self.name} read"))
+    built = [_build_block(combo, None, ours).matrix for combo in combos]
+    monkeypatch.undo()
+    for combo, got in zip(combos, built):
+        want = averaged_block_per_pattern(combo, theirs)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), [r.label for r in combo]
+
+
+def test_clusters_match_per_eigenvalue_cuts():
+    # steps just above, at and below CLUSTER_TOL, a single value, and the
+    # block spectra that spectrum_rows prints
+    cases = [
+        np.array([2.0]),
+        np.array([3.0, 3.0 - 2e-8, 3.0 - 4e-8, 1.0, 1.0, -1e-16]),
+        np.array([1.0, 1.0 - 1e-8, 1.0 - 2e-8, 0.5]),
+        np.linspace(1.0, 0.0, 200),
+    ]
+    rng = np.random.default_rng(7)
+    cases.append(np.sort(rng.choice([0.0, 1.0, 2.0], 300) + 1e-9 * rng.random(300))[::-1])
+    for reps, blk in _scan_blocks(parse_group("S3"), 3, None):
+        cases.append(np.linalg.eigh(blk.matrix)[0][::-1])
+    for desc in cases:
+        got, want = _cluster(desc), cluster_per_eigenvalue(desc)
+        assert [(float(v).hex(), n) for v, n in got] == [(float(v).hex(), n) for v, n in want]
+
+
 # every abelian group of order at most 16, up to isomorphism
 ABELIAN_TO_16 = [f"Z{n}" for n in range(1, 17)] + [
     "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6",
@@ -806,6 +925,18 @@ def test_state_rank_admissions(name, k):
     assert rank == rank_closed_form(G, k)
     assert peak < 10 * 2 ** 20
     assert interior_eigenvalue_check(G, k).found is False
+
+
+@pytest.mark.parametrize("name,k", [("Z4096", 2), ("Z1", 22)])
+def test_abelian_interior_check_admissions(name, k):
+    # once refused by the counted-rank guard, though the answer counts
+    # nothing: every averaged abelian block eigenvalue is a class size or 0
+    G = parse_group(name)
+    report, peak = _peak_of(lambda: interior_eigenvalue_check(G, k))
+    assert report == InteriorEigenvalueReport(found=False)
+    assert peak < 2 ** 20
+    with pytest.raises(DomainError, match="copies"):
+        interior_eigenvalue_check(G, 0)
 
 
 @pytest.mark.parametrize("k", [10 ** 4, 10 ** 6])
