@@ -407,8 +407,7 @@ def _validate_fourier(ft: FourierTransform, reps: tuple[Irrep, ...]) -> None:
 
 
 def kron_stack(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Elementwise Kronecker product of two stacks of matrices."""
-    n, d1, e1 = s1.shape
-    _, d2, e2 = s2.shape
-    out = np.einsum("gij,gkl->gikjl", s1, s2)
-    return out.reshape(n, d1 * d2, e1 * e2)
+    """Elementwise Kronecker product of two stacks of matrices, broadcast over
+    every axis but the last two."""
+    out = np.einsum("...ij,...kl->...ikjl", s1, s2)
+    return out.reshape(out.shape[:-4] + (s1.shape[-2] * s2.shape[-2], s1.shape[-1] * s2.shape[-1]))

@@ -347,13 +347,6 @@ def _check_reps(reps: tuple[Irrep, ...]) -> Group:
     return group
 
 
-def _check_average_budget(group: Group, out_dim: int) -> None:
-    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
-        raise CapacityError(
-            f"averaging a {out_dim}-dimensional product over {group.order} elements exceeds the memory budget"
-        )
-
-
 def _average_product(reps, exponents) -> np.ndarray:
     """Group average of the Kronecker product of rho_j(g^e_j), every e_j being -1 or 1.
 
@@ -361,8 +354,11 @@ def _average_product(reps, exponents) -> np.ndarray:
     products are refused over AVERAGE_STACK_LIMIT entries before any stack is read."""
     if not reps:
         return np.eye(1)
-    group = reps[0].group
-    _check_average_budget(group, prod(r.dim for r in reps))
+    group, out_dim = reps[0].group, prod(r.dim for r in reps)
+    if group.order * out_dim * out_dim > AVERAGE_STACK_LIMIT:
+        raise CapacityError(
+            f"averaging a {out_dim}-dimensional product over {group.order} elements exceeds the memory budget"
+        )
     inv = group.inverse_vector()
     cur = None
     for r, e in zip(reps, exponents):
@@ -407,31 +403,26 @@ def _bit_tuples(k: int) -> np.ndarray:
     return np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
 
 
-def _signed_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron_stack of every sign slice of a with every one of b, sign-major:
-    (P, |G|, m, m) and (S, |G|, n, n) give (P S, |G|, m n, m n)."""
-    out = np.einsum("pgij,sgkl->psgikjl", a, b)
-    return out.reshape(len(a) * len(b), a.shape[1], a.shape[2] * b.shape[2], a.shape[3] * b.shape[3])
-
-
 def _signed_averages(reps: tuple[Irrep, ...], memo: dict) -> np.ndarray:
     """The 2^k averages _average_product(reps, e), e in product((-1, 1)), as
-    one (2^k, D, D) array, k >= 2; bit for bit the same, as every stacked
-    product is the same left fold of entrywise products. The signed stack of
-    the first k - 1 factors, (2^(k-1), |G|, D', D'), is kept in memo under
-    their labels; the limit on |G| D^2 is checked before any stack is read."""
-    group = reps[0].group
-    _check_average_budget(group, prod(r.dim for r in reps))
-    inv = group.inverse_vector()
+    one (2, ..., 2, D, D) array indexed by the sign bits [e_j = 1], k >= 2;
+    bit for bit the same, as every stacked product is the same left fold of
+    entrywise products. The signed stack of the first k - 1 factors,
+    (2, ..., 2, |G|, D', D'), is kept in memo under their labels. The caller
+    checks that the 2^k |G| D^2 entries of the batch fit AVERAGE_STACK_LIMIT."""
+    inv = reps[0].group.inverse_vector()
 
     def signed(r):
         return np.stack([r.stack()[inv], r.stack()])
 
+    def times(prefix, r):
+        return kron_stack(prefix[..., None, :, :, :], signed(r))
+
     key = ("signed prefix", *(r.label for r in reps[:-1]))
     prefix = memo.get(key)
     if prefix is None:
-        prefix = memo[key] = reduce(_signed_kron, map(signed, reps[1:-1]), signed(reps[0]))
-    return _signed_kron(prefix, signed(reps[-1])).mean(axis=1)
+        prefix = memo[key] = reduce(times, reps[1:-1], signed(reps[0]))
+    return times(prefix, reps[-1]).mean(axis=-3)
 
 
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
@@ -439,7 +430,8 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
     memo when it is there. The averages over fewer than k nonzero factors,
     which recur across the irrep tuples of one scan, are stored in memo. For
     k >= 2 the all-nonzero patterns missing from memo are taken together by
-    _signed_averages, whose prefix stack memo keeps; for k = 1 one by one."""
+    _signed_averages, whose prefix stack memo keeps, when their 2^k |G| D^2
+    entries fit AVERAGE_STACK_LIMIT; otherwise, and for k = 1, one by one."""
     k = len(reps)
     if k < 1:
         raise DomainError("at least one irrep is required")
@@ -465,15 +457,15 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
         return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
     patterns = list(product((-1, 0, 1), repeat=k))
     avgs, signed = [], None
+    batched = k > 1 and 2 ** k * group.order * D * D <= AVERAGE_STACK_LIMIT
     for z in patterns:
         nz = [j for j in range(k) if z[j]]
         key = tuple((labels[j], z[j]) for j in nz)
         avg = memo.get(key)
-        if avg is None and len(nz) == k > 1:
+        if avg is None and len(nz) == k and batched:
             if signed is None:
                 signed = _signed_averages(reps, memo)
-            # z is entry sum_j [z_j = 1] 2^(k-1-j) of product((-1, 1))
-            avg = signed[sum((e > 0) << (k - 1 - j) for j, e in enumerate(z))]
+            avg = signed[tuple((e + 1) // 2 for e in z)]
         elif avg is None:
             avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
             if len(nz) < k:

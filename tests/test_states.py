@@ -663,6 +663,23 @@ def test_block_scan_peaks_stay_near_the_per_pattern_build():
         assert peak <= bound, (case, peak, before)
 
 
+def test_state_block_batch_stays_within_the_average_budget(monkeypatch):
+    # one average of this S5 tuple fits the budget, the batch of all 2^k = 8
+    # does not: the block is built one pattern at a time, within the budget's
+    # bytes, and is the same block
+    G = parse_group("S5")
+    four, four_sign = [r for r in irreps(G) if r.dim == 4]
+    reps = (four, four_sign, four)
+    limit = 2 * G.order * 64 ** 2
+    monkeypatch.setattr("hslab.states.AVERAGE_STACK_LIMIT", limit)
+    tracemalloc.start()
+    blk = state_block(reps)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * limit, peak
+    assert blk.matrix.tobytes() == averaged_block_per_pattern(reps, {}).tobytes()
+
+
 def test_spectrum_rows_contents():
     rows = spectrum_rows(abelian_group(2), 1)
     by_label = {(r["tuple_label"], r["eigenvalue"]): r["multiplicity"] for r in rows}
