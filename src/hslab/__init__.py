@@ -16,7 +16,6 @@ from .groups import (
     abelian_group,
     abelian_subgroup_of_abelian,
     abelian_subgroup_of_symmetric,
-    largest_abelian_order,
     parse_group,
     partitions,
     symmetric_group,
@@ -27,7 +26,6 @@ from .irreps import (
     fourier,
     irreps,
     plancherel,
-    regular_rep,
 )
 from .states import (
     Block,
@@ -64,7 +62,6 @@ from .measurements import (
     helstrom,
     indistinguishability_sweep,
     random_povm,
-    refine_povm,
     single_register_distributions,
     tv_distance,
     variance_bound_rows,
@@ -84,7 +81,6 @@ from .iso import (
     make_shift_oracles,
     parse_graph_text,
     rigid_corpus,
-    rigid_survey,
     states_from_oracles,
 )
 

@@ -244,7 +244,7 @@ def _cmd_helstrom(args, group: Group) -> None:
         first = shift_state_dense(group, shift, args.k)
         first_name = f"shift {shift}"
     if shift2 is None:
-        second = maximally_mixed_state(group, args.k, form="dense")
+        second = maximally_mixed_state(group, args.k)
         second_name = "mixed"
     else:
         second = shift_state_dense(group, shift2, args.k)
@@ -410,7 +410,7 @@ def _cmd_verify_all(args, group: None) -> None:
     group = parse_group("S3")
     hel = helstrom(
         averaged_shift_state_dense(group, 1).dense,
-        maximally_mixed_state(group, 1, form="dense").dense,
+        maximally_mixed_state(group, 1).dense,
     )
     _require(
         abs(hel.success - (0.5 + 0.25 * hel.trace_norm)) <= 1e-12,
@@ -421,7 +421,7 @@ def _cmd_verify_all(args, group: None) -> None:
         abs(
             helstrom(
                 averaged_shift_state_dense(Z6, 1).dense,
-                maximally_mixed_state(Z6, 1, form="dense").dense,
+                maximally_mixed_state(Z6, 1).dense,
             ).success
             - float(success_probability(Z6, 1).probability)
         )

@@ -293,8 +293,6 @@ class SubgroupEmbedding:
     subgroup: Group
     injection: tuple[int, ...]
     transversal: tuple[int, ...] = field(default=())
-    # _factor[g] = t_pos * |H| + h for g = transversal[t_pos] * injection[h]
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         G, H = self.parent, self.subgroup
@@ -317,8 +315,6 @@ class SubgroupEmbedding:
         products = G.compose(np.array(self.transversal)[:, None], inj).ravel()
         if np.unique(products).size != G.order:
             raise ConsistencyError("transversal does not give unique factorization")
-        self._factor = np.empty(G.order, dtype=np.int64)
-        self._factor[products] = np.arange(G.order)
 
     def _greedy_transversal(self, inj: np.ndarray) -> tuple[int, ...]:
         """The smallest element of each left coset g * iota(H), ascending."""
@@ -326,11 +322,6 @@ class SubgroupEmbedding:
         g = np.arange(G.order)
         smallest = G.compose(g[:, None], inj).min(axis=1)
         return tuple(np.flatnonzero(smallest == g).tolist())
-
-    def factor(self, g: int) -> tuple[int, int]:
-        """(transversal position, subgroup index) with g = t * iota(h)."""
-        self.parent.check_index(g)
-        return divmod(int(self._factor[g]), self.subgroup.order)
 
 
 def abelian_subgroup_of_symmetric(n: int, cycle_type: tuple[int, ...]) -> SubgroupEmbedding:
@@ -406,13 +397,3 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     rec(n, n, ())
     return out
 
-
-def largest_abelian_order(n: int) -> int:
-    """Largest order of an abelian subgroup of S_n.
-
-    Equals the maximum over partitions of n of the product of the parts,
-    attained by a product of disjoint cycles.
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
-    return max(prod(p) for p in partitions(n))

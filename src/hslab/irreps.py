@@ -142,7 +142,9 @@ class Irrep:
 
     def matrix(self, a: int) -> np.ndarray:
         self.group.check_index(a)
-        if self._stack is None and self.group.order > _EAGER_STACK_ORDER:
+        # above _EAGER_STACK_ORDER always the word product, whether or not the
+        # stack exists, so a matrix never depends on what ran before it
+        if self.group.order > _EAGER_STACK_ORDER:
             return self._single_matrix(a)
         return self.stack()[a]
 
@@ -319,16 +321,7 @@ def plancherel(group: Group) -> dict[tuple, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# regular representation and the group Fourier transform
-
-
-def regular_rep(group: Group, s: int) -> np.ndarray:
-    """Permutation matrix of right translation, R(s)|g> = |g s^-1>."""
-    group.check_index(s)
-    rows = group.translate(group.inverse(s))
-    M = np.zeros((group.order, group.order))
-    M[rows, np.arange(group.order)] = 1.0
-    return M
+# the group Fourier transform
 
 
 @dataclass
@@ -399,7 +392,7 @@ def _validate_fourier(ft: FourierTransform, reps: tuple[Irrep, ...]) -> None:
         for rep in reps:
             d, off = rep.dim, ft.offsets[rep.label]
             rows = F[off : off + d * d].reshape(d, d, N)
-            resid = max(resid, np.max(np.abs(rows[:, :, cols] - rep.matrix(s) @ rows)))
+            resid = max(resid, np.max(np.abs(rows[:, :, cols] - rep.stack()[s] @ rows)))
         if resid > 1e-9:
             raise ConsistencyError(
                 f"Fourier intertwining failed at element {s} (residual {resid:.3e})"

@@ -5,8 +5,8 @@ to the graph an injective function on the symmetric group. Two rigid graphs
 give a pair of injective oracles that either differ by a right translation
 (the graphs are isomorphic, and the translation is the hidden shift) or
 have disjoint ranges. This module provides the graph type, rigidity and
-isomorphism checks by exhaustive search, a vectorized survey of rigid
-graphs by size, oracle construction, a brute-force shift finder, and the
+isomorphism checks by exhaustive search, a corpus of rigid graphs by
+size, oracle construction, a brute-force shift finder, and the
 mixed quantum state an oracle pair induces.
 """
 
@@ -121,38 +121,14 @@ def are_isomorphic(A: Graph, B: Graph):
 
 
 # ---------------------------------------------------------------------------
-# rigid graph survey (uncolored)
-
-
-def _edge_index_map(n: int):
-    pairs = list(combinations(range(n), 2))
-    index = {pair: e for e, pair in enumerate(pairs)}
-    return pairs, index
-
-
-def rigid_survey(n: int) -> int:
-    """Count labeled rigid graphs on n vertices by sweeping all edge masks."""
-    if not 1 <= n <= 6:
-        raise CapacityError("survey covers 1 <= n <= 6")
-    pairs, index = _edge_index_map(n)
-    m = len(pairs)
-    masks = np.arange(1 << m, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1
-    has_automorphism = np.zeros(1 << m, dtype=bool)
-    identity = tuple(range(n))
-    for p in permutations(range(n)):
-        if p == identity:
-            continue
-        emap = [index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in pairs]
-        has_automorphism |= (bits[:, emap] == bits).all(axis=1)
-    return int((~has_automorphism).sum())
+# rigid graph corpus (uncolored)
 
 
 def rigid_corpus(n: int, count: int) -> list[Graph]:
     """First `count` rigid graphs on n vertices, by ascending edge mask."""
     if not 1 <= n <= 6:
         raise CapacityError("survey covers 1 <= n <= 6")
-    pairs, _ = _edge_index_map(n)
+    pairs = list(combinations(range(n), 2))
     found = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[e] for e in range(len(pairs)) if (mask >> e) & 1]

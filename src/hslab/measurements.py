@@ -1,10 +1,10 @@
 """Measurements on hidden-shift states.
 
 Covers optimal two-state discrimination (Helstrom), exact weak sampling of
-the irrep label, rank-one refinements of POVMs, the per-irrep conditional
+the irrep label, seeded random rank-one POVMs, the per-irrep conditional
 outcome distributions of a single register, their shift-averaged
-indistinguishability from the mixed-state distribution, and seeded random
-POVM sweeps quantifying that indistinguishability empirically.
+indistinguishability from the mixed-state distribution, and random POVM
+sweeps quantifying that indistinguishability empirically.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .states import ShiftState, _density_verdicts, _pattern_blocks
 # budget of one random-POVM trial of sweep and variance-bound. Its tracemalloc
 # peak, measured on Z2, S3, S4, S5, Z16 and S6 at 2 10^4 and 10^5 outcomes, is
 # 16 dim + 32 |G| + 72 bytes per outcome, mostly the |G| x outcomes per-shift
-# table and its complex cross terms; _guard_outcomes prices 80.
+# table and its complex cross terms (variance-bound builds it, sweep one row
+# of it); _guard_outcomes prices 80.
 POVM_BYTES_LIMIT = 2 ** 31
 
 
@@ -160,44 +161,6 @@ class Povm:
             raise ConsistencyError(f"POVM effects do not sum to identity ({resid:.3e})")
 
 
-def refine_povm(effects, labels=None) -> Povm:
-    """Split arbitrary positive effects into weighted rank-one outcomes.
-
-    Input effects must be finite Hermitian positive and sum to the identity
-    within 1e-8. Each effect is eigendecomposed; eigenvalues above 1e-10 become
-    outcome weights, largest first, labelled (effect label, slot).
-    """
-    effects = [np.asarray(E) for E in effects]
-    if not effects or any(E.ndim != 2 or not E.size for E in effects):
-        raise DomainError("at least one effect is required, each a nonempty 2-D array")
-    d = effects[0].shape[0]
-    if labels is None:
-        labels = list(range(len(effects)))
-    total = np.zeros((d, d), dtype=np.complex128)
-    for E in effects:
-        if E.shape != (d, d):
-            raise DomainError("effects must share one dimension")
-        if not np.isfinite(E).all() or np.max(np.abs(E - E.conj().T)) > 1e-10:
-            raise DomainError("effects must be finite and Hermitian")
-        total += E
-    if np.max(np.abs(total - np.eye(d))) > 1e-8:
-        raise DomainError("effects must sum to the identity")
-    weights = []
-    vectors = []
-    out_labels = []
-    for lab, E in zip(labels, effects):
-        w, V = np.linalg.eigh(E)
-        if w.min() < -1e-10:
-            raise DomainError(f"effect {lab!r} is not positive semidefinite")
-        for slot, idx in enumerate(np.argsort(w)[::-1]):
-            if w[idx] <= 1e-10:
-                break
-            weights.append(float(w[idx]))
-            vectors.append(V[:, idx])
-            out_labels.append((lab, slot))
-    return Povm(np.array(weights), np.array(vectors), tuple(out_labels))
-
-
 def random_povm(dim: int, outcomes: int, seed: int) -> Povm:
     """Seeded random rank-one POVM with `outcomes` effects on C^dim.
 
@@ -280,14 +243,18 @@ class SingleRegisterDistributions:
 
 
 def single_register_distributions(rep: Irrep, povm: Povm) -> SingleRegisterDistributions:
+    return _distributions(rep, povm, slice(None))
+
+
+def _distributions(rep: Irrep, povm: Povm, shifts: slice) -> SingleRegisterDistributions:
+    """single_register_distributions for the shifts rep.stack()[shifts] only:
+    per_shift holds one row for each of them, and every row must sum to one."""
     d = rep.dim
     if povm.dim != 2 * d:
         raise DomainError(f"POVM dimension {povm.dim} does not match block size {2 * d}")
-    group = rep.group
-    stack = rep.stack()
     v0 = povm.vectors[:, :d]
     v1 = povm.vectors[:, d:]
-    cross = np.einsum("ji,sil,jl->sj", v0.conj(), stack, v1)
+    cross = np.einsum("ji,sil,jl->sj", v0.conj(), rep.stack()[shifts], v1)
     quad = 1.0 + 2.0 * cross.real
     per_shift = (povm.weights / (2 * d)) * quad
     sums = per_shift.sum(axis=1)
@@ -452,8 +419,8 @@ def indistinguishability_sweep(
         dim = 2 * rep.dim
         m = outcomes if outcomes is not None else 2 * dim
         povm = _random_rank_one(rng, dim, m)
-        dists = single_register_distributions(rep, povm)
-        dist = tv_distance(dists.per_shift[shift], dists.mixed)
+        dists = _distributions(rep, povm, slice(shift, shift + 1))
+        dist = tv_distance(dists.per_shift[0], dists.mixed)
         samples.append(
             SweepSample(
                 trial=t,

@@ -3,7 +3,8 @@
 The two-function superposition procedure produces, per run, either the
 shifted state (uniform mixture over g of pair superpositions of |0,g> and
 |1,g*s>) or the maximally mixed state on the same 2|G|-dimensional space.
-This module builds both, for k independent runs, in two representations:
+This module builds both for k independent runs, the maximally mixed state
+dense only and the shifted states in two representations:
 
 * dense: the full (2|G|)^k matrix, basis ordered (bit_1, g_1, ..., bit_k, g_k);
 * block: after the per-copy change of basis (I_2 (x) Fourier) and a
@@ -41,12 +42,11 @@ MULTISET_WORK = 2 ** 16
 GRID_ENTRY_WORK = 2 ** 7
 COUNT_MULTISET_WORK = 2 ** 12
 COUNT_ENTRY_WORK = 2 ** 6
-MIXED_BLOCK_BYTES_LIMIT = 2 ** 30
-BLOCK_OVERHEAD_BYTES = 512
 RANK_CHUNK_CELLS = 2 ** 16
 AVERAGE_STACK_LIMIT = 2 ** 26
 RANK_RTOL = 1e-8
 CLUSTER_TOL = 1e-8
+INTERIOR_MARGIN = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +205,6 @@ def _require_density(verdicts: tuple[bool, bool, bool], trace: float, who: str) 
 # dense constructions
 
 
-def shift_pair_vector(group: Group, s: int, g: int) -> np.ndarray:
-    """Unit vector (|0,g> + |1,g*s>)/sqrt(2) in the 2|G| dense basis."""
-    group.check_index(s)
-    group.check_index(g)
-    N = group.order
-    v = np.zeros(2 * N)
-    v[g] = 1.0 / np.sqrt(2.0)
-    v[N + group.compose(g, s)] = 1.0 / np.sqrt(2.0)
-    return v
-
-
 def _dense_bytes(dim: int) -> int:
     """Estimated peak bytes of building a dense state of dimension dim and
     running helstrom on it against a second one: DENSE_WORKING_MATRICES
@@ -297,43 +286,13 @@ def averaged_shift_state_dense(group: Group, copies: int = 1) -> ShiftState:
     return ShiftState(group, copies, "averaged", "dense", dense=acc)
 
 
-def _mixed_block_bytes(group: Group, copies: int) -> int:
-    """Estimated bytes of the block-form mixed state: the identity blocks hold
-    (2^k D)^2 entries per tuple, 8 (4|G|)^k bytes in all, and each of the
-    len(irreps)^k tuples also costs a Block, its labels and an array header."""
-    return 8 * (4 * group.order) ** copies + BLOCK_OVERHEAD_BYTES * len(irreps(group)) ** copies
-
-
-def maximally_mixed_state(group: Group, copies: int = 1, form: str = "dense") -> ShiftState:
-    """The no-shift k-copy state, identity over (2|G|)^k."""
-    if form == "dense":
-        _guard_dense(group, copies)
-        dim = (2 * group.order) ** copies
-        dense = np.eye(dim)
-        dense /= dim
-        return ShiftState(group, copies, "no-shift", "dense", dense=dense)
-    if form != "block":
-        raise DomainError(f"form must be 'dense' or 'block', not {form!r}")
-    if copies < 1:
-        raise DomainError("copies must be a positive integer")
-    # the identity blocks take 8 4^k bytes or more: compare k with a bit length first
-    too_large = (
-        2 * copies + 3 >= MIXED_BLOCK_BYTES_LIMIT.bit_length()
-        or _mixed_block_bytes(group, copies) > MIXED_BLOCK_BYTES_LIMIT
-    )
-    if too_large:
-        raise CapacityError(
-            f"identity blocks of {group.descriptor} with k={copies} exceed the memory budget"
-        )
-    largest = (2 ** copies) * max(r.dim for r in irreps(group)) ** copies
-    if largest > BLOCK_DIM_LIMIT:
-        raise CapacityError(f"block dimension {largest} exceeds {BLOCK_DIM_LIMIT}")
-    blocks: dict[tuple, Block] = {}
-    for reps in product(irreps(group), repeat=copies):
-        labels = tuple(r.label for r in reps)
-        D = prod(r.dim for r in reps)
-        blocks[labels] = Block(labels, np.eye((2 ** copies) * D), D)
-    return ShiftState(group, copies, "no-shift", "block", blocks=blocks)
+def maximally_mixed_state(group: Group, copies: int = 1) -> ShiftState:
+    """The dense no-shift k-copy state, identity over (2|G|)^k."""
+    _guard_dense(group, copies)
+    dim = (2 * group.order) ** copies
+    dense = np.eye(dim)
+    dense /= dim
+    return ShiftState(group, copies, "no-shift", "dense", dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +771,7 @@ class InteriorEigenvalueReport:
     block_eigenvalue: float | None = None
 
 
-def interior_eigenvalue_check(
-    group: Group, copies: int, margin: float = 1e-8
-) -> InteriorEigenvalueReport:
+def interior_eigenvalue_check(group: Group, copies: int) -> InteriorEigenvalueReport:
     """Search the averaged state for an eigenvalue strictly between 0 and
     the inverse dense dimension (equivalently a block eigenvalue in (0, 1)).
 
@@ -822,17 +779,16 @@ def interior_eigenvalue_check(
     two-outcome discrimination measurement. The first matching irrep
     multiset (see _multiset_spectra) supplies the witness. It is also the
     first matching tuple in canonical tuple order: the sorted tuple of a
-    match matches too, and comes no later. margin must lie in [0, 1/2).
+    match matches too, and comes no later. A block eigenvalue counts as
+    interior when it lies in (INTERIOR_MARGIN, 1 - INTERIOR_MARGIN).
     """
-    if not 0 <= margin < 0.5:
-        raise DomainError(f"margin must lie in [0, 1/2), not {margin!r}")
     if group.is_abelian:
         # every averaged block eigenvalue is a class size of f or 0 (see _counted_rank)
         if copies < 1:
             raise DomainError("copies must be a positive integer")
         return InteriorEigenvalueReport(found=False)
     for combo, _, w in _multiset_spectra(group, copies):
-        inside = w[(w > margin) & (w < 1.0 - margin)]
+        inside = w[(w > INTERIOR_MARGIN) & (w < 1.0 - INTERIOR_MARGIN)]
         if len(inside):
             return InteriorEigenvalueReport(
                 found=True,

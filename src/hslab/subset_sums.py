@@ -48,19 +48,6 @@ class SubsetSumTable:
     copies: int
     counts: np.ndarray
 
-    def row_index(self, x: tuple[int, ...]) -> int:
-        if len(x) != self.copies:
-            raise DomainError(f"expected {self.copies} coordinates")
-        idx = 0
-        for xi in x:
-            self.group.check_index(xi)
-            idx = idx * self.group.order + xi
-        return idx
-
-    def count(self, x: tuple[int, ...], w: int) -> int:
-        self.group.check_index(w)
-        return int(self.counts[self.row_index(x), w])
-
     def rank(self) -> int:
         """Number of (x, w) pairs with at least one solution."""
         return int(np.count_nonzero(self.counts))

@@ -11,6 +11,14 @@
   pattern; the package takes a tuple's all-nonzero patterns in one batch.
 * Eigenvalue clusters cut by a loop over the eigenvalues; the package finds
   the cut points in one vectorized comparison.
+* Right translation as a permutation matrix, and the pair vectors
+  (|0,g> + |1,g*s>)/sqrt(2) the one-copy state mixes; the package writes
+  their nonzeros straight into the dense states.
+* The no-shift state as one identity block per irrep tuple; the package
+  builds it dense only.
+* Rank-one refinement of arbitrary POVM effects, which builds the
+  adversarial POVMs of the variance checks; the package draws only random
+  rank-one POVMs.
 """
 
 from functools import reduce
@@ -20,7 +28,17 @@ from math import factorial, prod
 import numpy as np
 
 from hslab.errors import DomainError
-from hslab.states import CLUSTER_TOL, _average_product, _bit_tuples, _pad_identity, _single_copy_positions
+from hslab.irreps import irreps
+from hslab.measurements import Povm
+from hslab.states import (
+    CLUSTER_TOL,
+    Block,
+    ShiftState,
+    _average_product,
+    _bit_tuples,
+    _pad_identity,
+    _single_copy_positions,
+)
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -59,6 +77,37 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
         q, rank = divmod(rank, factorial(n - 1 - i))
         out.append(avail.pop(q))
     return tuple(out)
+
+
+def regular_rep(group, s: int) -> np.ndarray:
+    """Permutation matrix of right translation, R(s)|g> = |g s^-1>."""
+    group.check_index(s)
+    rows = group.translate(group.inverse(s))
+    M = np.zeros((group.order, group.order))
+    M[rows, np.arange(group.order)] = 1.0
+    return M
+
+
+def shift_pair_vector(group, s: int, g: int) -> np.ndarray:
+    """Unit vector (|0,g> + |1,g*s>)/sqrt(2) in the 2|G| dense basis."""
+    group.check_index(s)
+    group.check_index(g)
+    N = group.order
+    v = np.zeros(2 * N)
+    v[g] = 1.0 / np.sqrt(2.0)
+    v[N + group.compose(g, s)] = 1.0 / np.sqrt(2.0)
+    return v
+
+
+def mixed_state_blocks(group, copies: int = 1) -> ShiftState:
+    """The no-shift k-copy state in block form: an identity block of
+    multiplicity prod d_j for every irrep tuple."""
+    blocks = {}
+    for reps in product(irreps(group), repeat=copies):
+        labels = tuple(r.label for r in reps)
+        D = prod(r.dim for r in reps)
+        blocks[labels] = Block(labels, np.eye((2 ** copies) * D), D)
+    return ShiftState(group, copies, "no-shift", "block", blocks=blocks)
 
 
 def single_copy_dense(group, s: int) -> np.ndarray:
@@ -123,3 +172,41 @@ def cluster_per_eigenvalue(desc: np.ndarray) -> list[tuple[float, int]]:
             out.append((float(chunk.mean()), len(chunk)))
             start = i
     return out
+
+
+def refine_povm(effects, labels=None) -> Povm:
+    """Split arbitrary positive effects into weighted rank-one outcomes.
+
+    Input effects must be finite Hermitian positive and sum to the identity
+    within 1e-8. Each effect is eigendecomposed; eigenvalues above 1e-10 become
+    outcome weights, largest first, labelled (effect label, slot).
+    """
+    effects = [np.asarray(E) for E in effects]
+    if not effects or any(E.ndim != 2 or not E.size for E in effects):
+        raise DomainError("at least one effect is required, each a nonempty 2-D array")
+    d = effects[0].shape[0]
+    if labels is None:
+        labels = list(range(len(effects)))
+    total = np.zeros((d, d), dtype=np.complex128)
+    for E in effects:
+        if E.shape != (d, d):
+            raise DomainError("effects must share one dimension")
+        if not np.isfinite(E).all() or np.max(np.abs(E - E.conj().T)) > 1e-10:
+            raise DomainError("effects must be finite and Hermitian")
+        total += E
+    if np.max(np.abs(total - np.eye(d))) > 1e-8:
+        raise DomainError("effects must sum to the identity")
+    weights = []
+    vectors = []
+    out_labels = []
+    for lab, E in zip(labels, effects):
+        w, V = np.linalg.eigh(E)
+        if w.min() < -1e-10:
+            raise DomainError(f"effect {lab!r} is not positive semidefinite")
+        for slot, idx in enumerate(np.argsort(w)[::-1]):
+            if w[idx] <= 1e-10:
+                break
+            weights.append(float(w[idx]))
+            vectors.append(V[:, idx])
+            out_labels.append((lab, slot))
+    return Povm(np.array(weights), np.array(vectors), tuple(out_labels))

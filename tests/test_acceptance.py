@@ -18,7 +18,7 @@ from hslab.groups import (
     abelian_subgroup_of_symmetric,
     symmetric_group,
 )
-from hslab.irreps import fourier, irreps, kron_stack, plancherel, regular_rep
+from hslab.irreps import fourier, irreps, kron_stack, plancherel
 from hslab.iso import (
     are_isomorphic,
     find_shift_bruteforce,
@@ -31,7 +31,6 @@ from hslab.measurements import (
     Povm,
     helstrom,
     random_povm,
-    refine_povm,
     single_register_distributions,
     tv_distance,
     variance_bound_rows,
@@ -50,6 +49,8 @@ from hslab.states import (
     subgroup_restriction_check,
 )
 from hslab.subset_sums import moments, subset_sum_rank
+
+from oracles import mixed_state_blocks, refine_povm, regular_rep
 
 
 def record(report, number, ok, detail, started, budget=None):
@@ -263,7 +264,7 @@ def test_07_success_formula_and_simple_ceiling(acceptance_report):
         for k in (1, 2, 3):
             hel = helstrom(
                 averaged_shift_state_dense(G, k).dense,
-                maximally_mixed_state(G, k, form="dense").dense,
+                maximally_mixed_state(G, k).dense,
             )
             rank = subset_sum_rank(G, k)
             predicted = 1 - Fraction(rank, 2 * (2 * N) ** k)
@@ -315,7 +316,7 @@ def test_08_weak_sampling_every_shift(acceptance_report):
     t0 = time.perf_counter()
     G = symmetric_group(4)
     reference = {lab: float(p) for lab, p in plancherel(G).items()}
-    mixed = weak_sampling_distribution(maximally_mixed_state(G, 1, form="block"))
+    mixed = weak_sampling_distribution(mixed_state_blocks(G, 1))
     worst_tv = 0.0
     worst_mixed_gap = 0.0
     for s in G.elements():

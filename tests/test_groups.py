@@ -10,7 +10,6 @@ from hslab.groups import (
     abelian_group,
     abelian_subgroup_of_abelian,
     abelian_subgroup_of_symmetric,
-    largest_abelian_order,
     parse_group,
     partitions,
     symmetric_group,
@@ -173,13 +172,6 @@ def test_partitions_order_and_count():
     assert all(parts4[i] > parts4[i + 1] for i in range(len(parts4) - 1))
 
 
-def test_largest_abelian_order_known_values():
-    # 1, 2, 3, 4, 6, 9, 12, 18 for n = 1..8
-    expected = {1: 1, 2: 2, 3: 3, 4: 4, 5: 6, 6: 9, 7: 12, 8: 18}
-    for n, value in expected.items():
-        assert largest_abelian_order(n) == value
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -204,10 +196,9 @@ def test_subgroup_embeddings(make):
             assert emb.injection[H.compose(a, b)] == G.compose(
                 emb.injection[a], emb.injection[b]
             )
-    # unique factorization g = t * iota(h)
-    for g in G.elements():
-        t_pos, h = emb.factor(g)
-        assert G.compose(emb.transversal[t_pos], emb.injection[h]) == g
+    # unique factorization g = t * iota(h): the products t * iota(h) list every g once
+    products = [G.compose(t, i) for t in emb.transversal for i in emb.injection]
+    assert sorted(products) == list(G.elements())
 
 
 def test_subgroup_cycle_type_validation():

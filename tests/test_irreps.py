@@ -15,11 +15,10 @@ from hslab.irreps import (
     fourier,
     irreps,
     plancherel,
-    regular_rep,
     standard_tableaux,
     young_generator_matrices,
 )
-from oracles import compose_perms, perm_rank, perm_unrank
+from oracles import compose_perms, perm_rank, perm_unrank, regular_rep
 
 
 def hook_length_dimension(shape):

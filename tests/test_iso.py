@@ -1,4 +1,4 @@
-"""Graph tooling, rigid surveys, shift oracles, and oracle-induced states."""
+"""Graph tooling, rigid corpora, shift oracles, and oracle-induced states."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from hslab.iso import (
     make_shift_oracles,
     parse_graph_text,
     rigid_corpus,
-    rigid_survey,
     states_from_oracles,
 )
 from hslab.states import (
@@ -109,15 +108,7 @@ def test_are_isomorphic_finds_relabelings():
 
 
 # ---------------------------------------------------------------------------
-# rigid survey and corpus
-
-
-def test_rigid_survey_counts():
-    assert [rigid_survey(n) for n in range(1, 7)] == [1, 0, 0, 0, 0, 5760]
-    with pytest.raises(CapacityError):
-        rigid_survey(7)
-    with pytest.raises(CapacityError):
-        rigid_survey(0)
+# rigid corpus
 
 
 def test_rigid_corpus_members_are_rigid_and_distinct():
@@ -128,6 +119,9 @@ def test_rigid_corpus_members_are_rigid_and_distinct():
     with pytest.raises(DomainError):
         rigid_corpus(2, 1)
     assert rigid_corpus(1, 1) == [graph(1, [])]
+    for n in (7, 0):
+        with pytest.raises(CapacityError):
+            rigid_corpus(n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +308,7 @@ def _ix_oracle_state(pair, copies):
 def _dense_reference(G, shift):
     """The dense reference state of the iso check."""
     if shift is None:
-        return maximally_mixed_state(G, 1, form="dense").dense
+        return maximally_mixed_state(G, 1).dense
     return shift_state_dense(G, G.inverse(shift), 1).dense
 
 

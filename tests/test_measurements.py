@@ -18,7 +18,6 @@ from hslab.measurements import (
     helstrom,
     indistinguishability_sweep,
     random_povm,
-    refine_povm,
     single_register_distributions,
     tv_distance,
     variance_bound_rows,
@@ -33,6 +32,8 @@ from hslab.states import (
     maximally_mixed_state,
     shift_state_dense,
 )
+
+from oracles import mixed_state_blocks, refine_povm
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def test_helstrom_positivity_threshold(dim):
 
 def _helstrom_cases():
     S3, Z4 = symmetric_group(3), abelian_group(4)
-    yield averaged_shift_state_dense(S3, 2).dense, maximally_mixed_state(S3, 2, form="dense").dense
-    yield averaged_shift_state_dense(Z4, 3).dense, maximally_mixed_state(Z4, 3, form="dense").dense
+    yield averaged_shift_state_dense(S3, 2).dense, maximally_mixed_state(S3, 2).dense
+    yield averaged_shift_state_dense(Z4, 3).dense, maximally_mixed_state(Z4, 3).dense
     for s in range(S3.order):
         for t in range(s + 1, S3.order):
             yield shift_state_dense(S3, s, 2).dense, shift_state_dense(S3, t, 2).dense
@@ -497,7 +498,7 @@ def test_weak_sampling_equals_squared_dimension_profile():
         for label, p in dist.items():
             assert p == pytest.approx(expected[label], abs=1e-12)
     averaged = weak_sampling_distribution(block_shift_state(G, 1))
-    mixed = weak_sampling_distribution(maximally_mixed_state(G, form="block"))
+    mixed = weak_sampling_distribution(mixed_state_blocks(G))
     for label in expected:
         assert averaged[label] == pytest.approx(expected[label], abs=1e-12)
         assert mixed[label] == pytest.approx(expected[label], abs=1e-12)
@@ -646,6 +647,24 @@ def test_sweep_respects_outcome_override():
     assert all(0 <= s.shift_index < G.order for s in report.samples)
     with pytest.raises(DomainError):
         indistinguishability_sweep(G, trials=0, seed=9)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5"])
+def test_sweep_row_equals_the_full_table_row(name):
+    # the sweep builds only the drawn shift's row; replay each trial's draws
+    # and read the same row from the whole per-shift table
+    G = parse_group(name)
+    by_name = {r.name: r for r in irreps(G)}
+    for seed in (0, 7, 123):
+        for sample in indistinguishability_sweep(G, trials=30, seed=seed).samples:
+            rng = _stream(seed, sample.trial)
+            rng.random()
+            assert int(rng.integers(G.order)) == sample.shift_index
+            rep = by_name[sample.irrep_label]
+            povm = _random_rank_one(rng, 2 * rep.dim, sample.povm_outcomes)
+            dists = single_register_distributions(rep, povm)
+            dist = tv_distance(dists.per_shift[sample.shift_index], dists.mixed)
+            assert (dist.tv, dist.l1) == (sample.tv, sample.l1)
 
 
 @pytest.mark.parametrize("name", ["Z2", "S3", "S4", "Z16"])

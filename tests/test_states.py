@@ -21,7 +21,7 @@ from hslab.groups import (
     parse_group,
     symmetric_group,
 )
-from hslab.irreps import Irrep, irreps, kron_stack, regular_rep
+from hslab.irreps import Irrep, irreps, kron_stack
 from hslab.iso import graph, graph_act, make_shift_oracles, states_from_oracles
 from hslab.measurements import helstrom, weak_sampling_distribution
 from hslab.states import (
@@ -41,7 +41,6 @@ from hslab.states import (
     _guard_counted_rank,
     _guard_dense,
     _guard_multiset_scan,
-    _mixed_block_bytes,
     _multiset_spectra,
     _one_factor_averages,
     _pattern_blocks,
@@ -55,7 +54,6 @@ from hslab.states import (
     maximally_mixed_state,
     one_copy_state,
     rank_closed_form,
-    shift_pair_vector,
     shift_state_dense,
     spectrum,
     spectrum_rows,
@@ -71,6 +69,9 @@ from oracles import (
     averaged_block_per_pattern,
     averaged_shift_state_dense_kron,
     cluster_per_eigenvalue,
+    mixed_state_blocks,
+    regular_rep,
+    shift_pair_vector,
     shift_state_dense_kron,
     single_copy_dense,
 )
@@ -332,7 +333,7 @@ def test_block_scan_consumers_agree(G, k, shift):
             if np.any((w > margin) & (w < 1.0 - margin)):
                 first = labels
                 break
-        report = interior_eigenvalue_check(G, k, margin=margin)
+        report = interior_eigenvalue_check(G, k)
         assert report.found == (first is not None)
         assert report.labels == first
 
@@ -367,14 +368,15 @@ def test_state_spectrum_dense_vs_block():
 
 def test_maximally_mixed_state_forms():
     G = abelian_group(2, 2)
-    dense = maximally_mixed_state(G, 2, form="dense")
+    dense = maximally_mixed_state(G, 2)
     assert np.array_equal(dense.dense, np.eye(64) / 64)
-    block = maximally_mixed_state(G, 2, form="block")
+    block = mixed_state_blocks(G, 2)
     block.validate()
     assembled = dense_from_blocks(block)
     assert np.allclose(assembled, np.eye(64) / 64, atol=1e-14)
+    # the package builds the no-shift state dense only: it takes no form
     for form in ("Dense", "BLOCK", "", "sparse"):
-        with pytest.raises(DomainError, match="form must be 'dense' or 'block'"):
+        with pytest.raises(TypeError, match="form"):
             maximally_mixed_state(G, 2, form=form)
 
 
@@ -455,7 +457,7 @@ def _accepted_s3_states():
     for k in (1, 2, 3):
         yield averaged_shift_state_dense(S3, k)
         yield maximally_mixed_state(S3, k)
-        yield maximally_mixed_state(S3, k, form="block")
+        yield mixed_state_blocks(S3, k)
         yield block_shift_state(S3, k)
         for s in S3.elements():
             yield shift_state_dense(S3, s, k)
@@ -562,16 +564,6 @@ def test_validate_rejects_non_finite_entries():
     blk.matrix[0, 0] = np.nan
     with pytest.raises(ConsistencyError, match=r"block .* has a non-finite entry"):
         state.validate()
-
-
-def test_interior_check_margin_domain():
-    # a negative margin would report a zero eigenvalue as interior, and one of
-    # 1/2 or more leaves no interval (margin, 1 - margin) to search
-    for G in (abelian_group(4), symmetric_group(3)):
-        for margin in (-1e-3, 0.5, 1.0, float("nan")):
-            with pytest.raises(DomainError, match="margin"):
-                interior_eigenvalue_check(G, 2, margin=margin)
-        assert interior_eigenvalue_check(G, 2, margin=0.0).found == (not G.is_abelian)
 
 
 def test_interior_eigenvalue_witnesses():
@@ -704,13 +696,6 @@ def _peak_of(fn):
 def _refused(fn):
     with pytest.raises(CapacityError):
         fn()
-
-
-def test_maximally_mixed_block_guard():
-    # S6 k=3 would need 8 * (4 * 720)^3 bytes, about 191 GB, of identity blocks
-    G = symmetric_group(6)
-    _, peak = _peak_of(lambda: _refused(lambda: maximally_mixed_state(G, 3, form="block")))
-    assert peak < 10 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -1139,16 +1124,6 @@ def test_pattern_blocks_of_s3_three_copy_states():
     assert np.array_equal(index[0], np.arange(1728)) and np.shares_memory(stack, averaged)
 
 
-@pytest.mark.parametrize("name", ["Z16", "Z32"])
-def test_mixed_block_estimate_covers_the_peak(name):
-    # each of the |G|^3 tuples costs a Block, labels and an array header
-    # besides its 8 x 8 identity, about 330 bytes measured
-    G = parse_group(name)
-    state, peak = _peak_of(lambda: maximally_mixed_state(G, 3, form="block"))
-    assert len(state.blocks) == G.order ** 3
-    assert peak <= _mixed_block_bytes(G, 3)
-
-
 @pytest.mark.parametrize("name,k", [("S3", 2), ("Z4", 3), ("S3", 3)])
 def test_dense_estimate_covers_the_helstrom_peak(name, k):
     G = parse_group(name)
@@ -1388,6 +1363,16 @@ def test_one_copy_outputs_read_no_stack(monkeypatch):
     assert state_rank(G, 1, 5) == G.order
     assert state_rank(G, 1) == rank_closed_form(G, 1) == 80639
     assert interior_eigenvalue_check(G, 1).found is False
+
+
+def test_s7_fixed_shift_block_ignores_a_built_stack():
+    # above _EAGER_STACK_ORDER a matrix is the word product whether or not
+    # the stack exists; a fresh irrep, so no other test's stack is reused
+    G = symmetric_group(7)
+    rep = Irrep(G, (5, 2), 14)
+    before = state_block((rep,), 2500).matrix.tobytes()
+    rep.stack()
+    assert state_block((rep,), 2500).matrix.tobytes() == before
 
 
 def _oracle_single_copy_dense(group, s):
