@@ -127,7 +127,7 @@ def are_isomorphic(A: Graph, B: Graph):
 def rigid_corpus(n: int, count: int) -> list[Graph]:
     """First `count` rigid graphs on n vertices, by ascending edge mask."""
     if not 1 <= n <= 6:
-        raise CapacityError("survey covers 1 <= n <= 6")
+        raise CapacityError("rigid corpus covers 1 <= n <= 6")
     pairs = list(combinations(range(n), 2))
     found = []
     for mask in range(1 << len(pairs)):

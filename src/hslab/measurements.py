@@ -20,11 +20,7 @@ from .groups import Group
 from .irreps import Irrep, irreps, plancherel
 from .states import ShiftState, _density_verdicts, _pattern_blocks
 
-# budget of one random-POVM trial of sweep and variance-bound. Its tracemalloc
-# peak, measured on Z2, S3, S4, S5, Z16 and S6 at 2 10^4 and 10^5 outcomes, is
-# 16 dim + 32 |G| + 72 bytes per outcome, mostly the |G| x outcomes per-shift
-# table and its complex cross terms (variance-bound builds it, sweep one row
-# of it); _guard_outcomes prices 80.
+# budget of one random-POVM trial of sweep and variance-bound
 POVM_BYTES_LIMIT = 2 ** 31
 
 
@@ -296,12 +292,29 @@ def weighted_variance_sum(rep: Irrep, povm: Povm) -> float:
     return float(np.sum(variances / povm.weights))
 
 
-def _guard_outcomes(group: Group, reps, outcomes: int | None) -> None:
-    """Refuse a trial on any of reps whose POVM would not fit POVM_BYTES_LIMIT."""
+def _table_price(group: Group, dim: int) -> int:
+    """Bytes per outcome of a variance-bound trial. Its tracemalloc peak,
+    measured on Z2, S3, S4, S5, Z16 and S6 at 2 10^4 and 10^5 outcomes, is
+    16 dim + 32 |G| + 72, mostly the |G| x outcomes per-shift table and its
+    complex cross terms; priced at 80."""
+    return 16 * dim + 32 * group.order + 80
+
+
+def _row_price(group: Group, dim: int) -> int:
+    """Bytes per outcome of a sweep trial, which builds the drawn shift's row
+    of that table only. Its tracemalloc peak, measured on the same groups and
+    outcome counts, is 48 dim + 56, mostly the dim x outcomes Gaussian draw
+    and the POVM vectors; priced at 64."""
+    return 48 * dim + 64
+
+
+def _guard_outcomes(group: Group, reps, outcomes: int | None, price=_table_price) -> None:
+    """Refuse a trial on any of reps whose POVM would not fit POVM_BYTES_LIMIT,
+    at price(group, dim) bytes per outcome."""
     for rep in reps:
         dim = 2 * rep.dim
         m = outcomes if outcomes is not None else 2 * dim
-        need = m * (16 * dim + 32 * group.order + 80)
+        need = m * price(group, dim)
         if need > POVM_BYTES_LIMIT:
             raise CapacityError(
                 f"{m} outcomes on a {dim}-dimensional block of {group.descriptor} need about "
@@ -403,7 +416,7 @@ def indistinguishability_sweep(
     if trials < 1:
         raise DomainError("trials must be positive")
     reps = irreps(group)
-    _guard_outcomes(group, reps, outcomes)
+    _guard_outcomes(group, reps, outcomes, _row_price)
     weights = plancherel(group)
     cumulative = []
     acc = Fraction(0)

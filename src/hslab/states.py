@@ -326,49 +326,28 @@ def _average_product(reps, exponents) -> np.ndarray:
     return cur.mean(axis=0)
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_PAD_SUBSCRIPTS: dict[tuple[int, ...], str] = {}
-
-
-def _pad_identity(out: np.ndarray, dims: list[int], exponents, avg: np.ndarray) -> None:
-    """Write avg, the average over the factors with a nonzero exponent, into the
-    zeroed D x D matrix out as the full product with identity factors where
-    the exponent is zero.
-
-    Only the diagonal of the identity factors is written, so every other
-    entry stays +0.0 whatever the sign of avg. The einsum subscript that
-    selects that diagonal is built once per exponent tuple.
-    """
-    exponents = tuple(exponents)
-    subscript = _PAD_SUBSCRIPTS.get(exponents)
-    if subscript is None:
-        k = len(exponents)
-        nz = [j for j, e in enumerate(exponents) if e]
-        zero = [j for j, e in enumerate(exponents) if not e]
-        rows = _LETTERS[:k]
-        cols = "".join(_LETTERS[k + j] if e else rows[j] for j, e in enumerate(exponents))
-        kept = "".join([rows[j] for j in nz] + [cols[j] for j in nz] + [rows[j] for j in zero])
-        subscript = _PAD_SUBSCRIPTS[exponents] = f"{rows}{cols}->{kept}"
-    diagonal = np.einsum(subscript, out.reshape(dims * 2))
-    nz_dims = [d for d, e in zip(dims, exponents) if e]
-    diagonal[...] = avg.reshape(nz_dims * 2 + [1] * (len(dims) - len(nz_dims)))
-
-
 def _bit_tuples(k: int) -> np.ndarray:
-    """(2^k, k) int array of the bit tuples in product((0, 1)) order. Cell
-    (x, y) of a block has exponents y - x, so any integer-linear function of
-    them is f(y) - f(x) with f = _bit_tuples(k) @ coefficients, and the
-    k 4^k exponents never need to exist at once."""
+    """(2^k, k) int array of the bit tuples in product((0, 1)) order. An
+    integer-linear function f(x) = sum_j x_j w_j of the bits of every row
+    is _bit_tuples(k) @ w, as _counted_rank forms it."""
     return np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1
 
 
 def _signed_averages(reps: tuple[Irrep, ...], memo: dict) -> np.ndarray:
-    """The 2^k averages _average_product(reps, e), e in product((-1, 1)), as
-    one (2, ..., 2, D, D) array indexed by the sign bits [e_j = 1], k >= 2;
-    bit for bit the same, as every stacked product is the same left fold of
-    entrywise products. The signed stack of the first k - 1 factors,
-    (2, ..., 2, |G|, D', D'), is kept in memo under their labels. The caller
-    checks that the 2^k |G| D^2 entries of the batch fit AVERAGE_STACK_LIMIT."""
+    """The 2^s averages _average_product(reps, e), e in product((-1, 1)), of
+    s factors, as one (2, ..., 2, D, D) array indexed by the sign bits
+    [e_j = 1].
+
+    For s >= 2 factors whose batch of 2^s |G| D^2 entries fits
+    AVERAGE_STACK_LIMIT they are taken together, bit for bit the same, as
+    every stacked product is the same left fold of entrywise products; the
+    signed stack of the first s - 1 factors, (2, ..., 2, |G|, D', D'), is
+    kept in memo under their labels. Otherwise they are taken one by one,
+    each refused by _average_product before any stack is read."""
+    D = prod(r.dim for r in reps)
+    if len(reps) < 2 or 2 ** len(reps) * reps[0].group.order * D * D > AVERAGE_STACK_LIMIT:
+        averages = [_average_product(reps, e) for e in product((-1, 1), repeat=len(reps))]
+        return np.stack(averages).reshape((2,) * len(reps) + (D, D))
     inv = reps[0].group.inverse_vector()
 
     def signed(r):
@@ -385,12 +364,12 @@ def _signed_averages(reps: tuple[Irrep, ...], memo: dict) -> np.ndarray:
 
 
 def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Block:
-    """state_block, taking the average of every nonzero-exponent pattern from
-    memo when it is there. The averages over fewer than k nonzero factors,
-    which recur across the irrep tuples of one scan, are stored in memo. For
-    k >= 2 the all-nonzero patterns missing from memo are taken together by
-    _signed_averages, whose prefix stack memo keeps, when their 2^k |G| D^2
-    entries fit AVERAGE_STACK_LIMIT; otherwise, and for k = 1, one by one."""
+    """state_block. Averaged, each cell is the average over the factors with a
+    nonzero exponent, a sub-tuple S, with identity factors elsewhere; the
+    2^|S| sign averages of every S are read from memo under the labels of S,
+    or else taken by _signed_averages, the full tuple first. Those over fewer
+    than k factors, which recur across the irrep tuples of one scan, are
+    stored in memo."""
     k = len(reps)
     if k < 1:
         raise DomainError("at least one irrep is required")
@@ -414,53 +393,52 @@ def _build_block(reps: tuple[Irrep, ...], shift: int | None, memo: dict) -> Bloc
         shape = [n for d in dims for n in (2, d)]
         B = reduce(np.kron, per_copy).reshape(shape * 2)
         return Block(labels, B.transpose(order + [2 * k + a for a in order]).reshape(dim, dim), D)
-    patterns = list(product((-1, 0, 1), repeat=k))
-    avgs, signed = [], None
-    batched = k > 1 and 2 ** k * group.order * D * D <= AVERAGE_STACK_LIMIT
-    for z in patterns:
-        nz = [j for j in range(k) if z[j]]
-        key = tuple((labels[j], z[j]) for j in nz)
+    masks = list(product((1, 0), repeat=k))
+    averages = []
+    for mask in masks:
+        sub = tuple(r for r, m in zip(reps, mask) if m)
+        key = tuple(r.label for r in sub)
         avg = memo.get(key)
-        if avg is None and len(nz) == k and batched:
-            if signed is None:
-                signed = _signed_averages(reps, memo)
-            avg = signed[tuple((e + 1) // 2 for e in z)]
-        elif avg is None:
-            avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
-            if len(nz) < k:
+        if avg is None:
+            avg = _signed_averages(sub, memo)
+            if len(sub) < k:
                 memo[key] = avg
-        avgs.append(avg)
+        averages.append(avg)
     # the dtype of the averages read, so a block seeded from memo reads no stack
-    parts = np.zeros((3 ** k, D, D), dtype=np.result_type(np.float64, *(a.dtype for a in avgs)))
-    for zi, (z, avg) in enumerate(zip(patterns, avgs)):
-        if all(z):
-            parts[zi] = avg
-        else:
-            _pad_identity(parts[zi], dims, z, avg)
-    # cell (x, y) of the block is the part with exponents y - x, at index
-    # sum_j (y_j - x_j + 1) 3^(k-1-j) in patterns
-    f = _bit_tuples(k) @ 3 ** np.arange(k - 1, -1, -1)
-    cells = f[None, :] - f[:, None] + (3 ** k - 1) // 2
-    B = parts[cells].transpose(0, 2, 1, 3).reshape(dim, dim)
-    return Block(labels, B, D)
+    B = np.zeros(((2,) * k + tuple(dims)) * 2, dtype=np.result_type(np.float64, *(a.dtype for a in averages)))
+    # B's axes are (x_1..x_k, i_1..i_k, y_1..y_k, j_1..j_k), and cell (x, y)
+    # holds exponents y - x. A copy in S has x_j = 1 - y_j, its sign bit y_j,
+    # so its x axis is reversed and tied to y_j; every other copy has x_j =
+    # y_j and an identity factor, i_j = j_j. Einsum labels: i_j -> j, x_j and
+    # y_j -> k + j, j_j -> 2k + j; each write is to a view of B.
+    bits = [k + j for j in range(k)]
+    for mask, avg in zip(masks, averages):
+        inside = [j for j in range(k) if mask[j]]
+        outside = [j for j in range(k) if not mask[j]]
+        tied = np.einsum(
+            B[tuple(slice(None, None, -1 if m else 1) for m in mask)],
+            bits + list(range(k)) + bits + [2 * k + j if m else j for j, m in enumerate(mask)],
+            [k + j for j in outside] + outside + [k + j for j in inside] + inside + [2 * k + j for j in inside],
+        )
+        tied[...] = avg.reshape((2,) * len(inside) + tuple(dims[j] for j in inside) * 2)
+    return Block(labels, B.reshape(dim, dim), D)
 
 
 def _one_factor_averages(reps: tuple[Irrep, ...]) -> dict:
-    """The one-factor averages of every rep, keyed as in the memo of
+    """The sign averages of every rep, keyed and laid out as in the memo of
     _build_block: avg rho(g^e) is [[1]] for the trivial irrep and, by Schur
     orthogonality against it, zero for every other. They take the dtype of
     the stacks they stand for: complex for characters, real for Young's form."""
-    zero = np.zeros((), complex if reps[0].group.is_abelian else float)
+    dtype = complex if reps[0].group.is_abelian else float
     return {
-        ((r.label, e),): np.eye(1, dtype=zero.dtype) if r.is_trivial else np.broadcast_to(zero, (r.dim, r.dim))
+        (r.label,): np.ones((2, 1, 1), dtype) if r.is_trivial else np.broadcast_to(np.zeros((), dtype), (2, r.dim, r.dim))
         for r in reps
-        for e in (-1, 1)
     }
 
 
 def _schur_pair_averages(reps: tuple[Irrep, ...]) -> dict:
-    """The two-factor averages of every ordered pair of reps, keyed as in the
-    memo of _build_block, or no entry at all when a stack is complex.
+    """The sign averages of every ordered pair of reps, keyed and laid out as
+    in the memo of _build_block, or no entry at all when a stack is complex.
 
     Real orthogonal irreps satisfy Schur orthogonality in the form
     avg rho_ij(g) sigma_kl(g) = delta_rho,sigma delta_ik delta_jl / d, so the
@@ -473,13 +451,12 @@ def _schur_pair_averages(reps: tuple[Irrep, ...]) -> dict:
     for a, b in product(reps, repeat=2):
         n = a.dim * b.dim
         if a.label != b.label:
-            same = opposite = np.broadcast_to(0.0, (n, n))
-        else:
-            phi = np.eye(a.dim).reshape(n)
-            same = np.outer(phi, phi) / a.dim
-            opposite = np.eye(n).reshape((a.dim,) * 4).transpose(0, 1, 3, 2).reshape(n, n) / a.dim
-        for e, f in product((-1, 1), repeat=2):
-            memo[(a.label, e), (b.label, f)] = same if e == f else opposite
+            memo[a.label, b.label] = np.broadcast_to(0.0, (2, 2, n, n))
+            continue
+        phi = np.eye(a.dim).reshape(n)
+        same = np.outer(phi, phi) / a.dim
+        opposite = np.eye(n).reshape((a.dim,) * 4).transpose(0, 1, 3, 2).reshape(n, n) / a.dim
+        memo[a.label, b.label] = np.array([[same, opposite], [opposite, same]])
     return memo
 
 
@@ -498,11 +475,14 @@ def _guard_block_scan(group: Group, copies: int) -> None:
     """Reject whole-state block scans whose total work is clearly infeasible.
 
     Bounds both the elements held while averaging representation products
-    (3^k patterns, each |G| stacked matrices totalling |G|^k entries) and
-    the cubic eigensolver cost summed over every block. As D^2 = prod d_j^2
-    <= |G|^k, the batch of a tuple's 2^k all-nonzero averages holds 2^k |G|
-    D^2 <= 2^k |G|^(k+1) entries, and the prefix stacks the scan keeps
-    2^(k-1) |G| (sum d^2)^(k-1) = 2^(k-1) |G|^k: together within 3^k |G|^(k+1).
+    and the cubic eigensolver cost summed over every block. As D^2 = prod
+    d_j^2 <= |G|^k, the batch of a tuple's 2^k sign averages holds 2^k |G|
+    D^2 <= 2^k |G|^(k+1) entries, and the prefix stacks the scan keeps, of
+    the first m factors of its sub-tuples, 0 < m < k, hold 2^m |G| (sum
+    d^2)^m = 2^m |G|^(m+1) each, at most 2^k |G|^k in all: together within
+    3^k |G|^(k+1), the price of the 3^k patterns the build once averaged one
+    by one. It over-prices the 2^k sub-tuples the build now takes, and is
+    kept so that no scan changes status.
     """
     if copies < 1:
         raise DomainError("copies must be a positive integer")
@@ -645,9 +625,12 @@ def _guard_multiset_scan(group: Group, copies: int) -> int:
     costs MULTISET_WORK, GRID_ENTRY_WORK per exponent of its 4^k cells, its
     eigensolve (2^k D)^3, PATTERN_STEP_WORK per pattern and |G| D_S^2 per
     average over three or more nonzero factors S, in all
-    prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. CapacityError
-    above MULTISET_WORK_LIMIT, or first for a widest block over
-    BLOCK_DIM_LIMIT, seen from bit lengths alone."""
+    prod(1 + x_j) - 1 - e_1(x) - e_2(x) with x_j = 2 d_j^2. The grid and
+    pattern terms price the 3^k patterns and 4^k exponents the build once
+    took; it now takes 2^k sub-tuple steps and forms no exponent, so they
+    over-price it, and are kept so that no scan changes status.
+    CapacityError above MULTISET_WORK_LIMIT, or first for a widest block
+    over BLOCK_DIM_LIMIT, seen from bit lengths alone."""
     if copies < 1:
         raise DomainError("copies must be a positive integer")
     dims = [r.dim for r in irreps(group)]

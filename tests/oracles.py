@@ -8,7 +8,9 @@
   shift by shift for the averaged state; the package writes the same
   nonzeros straight into one zeroed matrix.
 * The averaged block build with one `_average_product` per nonzero-exponent
-  pattern; the package takes a tuple's all-nonzero patterns in one batch.
+  pattern, padded with identity factors and placed by one gather; the
+  package writes one sign-stacked average per sub-tuple of the factors
+  straight into the block.
 * Eigenvalue clusters cut by a loop over the eigenvalues; the package finds
   the cut points in one vectorized comparison.
 * Right translation as a permutation matrix, and the pair vectors
@@ -36,9 +38,10 @@ from hslab.states import (
     ShiftState,
     _average_product,
     _bit_tuples,
-    _pad_identity,
     _single_copy_positions,
 )
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,19 +136,45 @@ def averaged_shift_state_dense_kron(group, copies: int) -> np.ndarray:
     return acc / group.order
 
 
+def _pad_identity(out: np.ndarray, dims: list[int], exponents, avg: np.ndarray) -> None:
+    """Write avg, the average over the factors with a nonzero exponent, into the
+    zeroed D x D matrix out as the full product with identity factors where
+    the exponent is zero.
+
+    Only the diagonal of the identity factors is written, so every other
+    entry stays +0.0 whatever the sign of avg.
+    """
+    k = len(exponents)
+    nz = [j for j, e in enumerate(exponents) if e]
+    zero = [j for j, e in enumerate(exponents) if not e]
+    rows = _LETTERS[:k]
+    cols = "".join(_LETTERS[k + j] if e else rows[j] for j, e in enumerate(exponents))
+    kept = "".join([rows[j] for j in nz] + [cols[j] for j in nz] + [rows[j] for j in zero])
+    diagonal = np.einsum(f"{rows}{cols}->{kept}", out.reshape(dims * 2))
+    nz_dims = [d for d, e in zip(dims, exponents) if e]
+    diagonal[...] = avg.reshape(nz_dims * 2 + [1] * (len(dims) - len(nz_dims)))
+
+
 def averaged_block_per_pattern(reps, memo: dict) -> np.ndarray:
-    """The averaged block of an irrep tuple, each of its 3^k patterns read from
-    memo or taken by its own _average_product, and the averages over fewer
-    than k nonzero factors stored in memo, as in the scans."""
+    """The averaged block of an irrep tuple, each of its 3^k patterns padded
+    with identity factors and placed into its cells by one gather.
+
+    A pattern's average is read from the sign-stacked seeds of the scans'
+    memo, the (2, ..., 2, D_S, D_S) array under the labels of its nonzero
+    factors S, at the sign bits [e_j = 1]; else it is taken by its own
+    _average_product, and stored in memo under the pattern when it has fewer
+    than k nonzero factors, as in the scans."""
     k, labels, dims = len(reps), tuple(r.label for r in reps), [r.dim for r in reps]
     D = prod(dims)
     patterns = list(product((-1, 0, 1), repeat=k))
     avgs = []
     for z in patterns:
         nz = [j for j in range(k) if z[j]]
-        key = tuple((labels[j], z[j]) for j in nz)
-        avg = memo.get(key)
-        if avg is None:
+        seeded = memo.get(tuple(labels[j] for j in nz))
+        key = ("pattern", *((labels[j], z[j]) for j in nz))
+        if seeded is not None:
+            avg = seeded[tuple((z[j] + 1) // 2 for j in nz)]
+        elif (avg := memo.get(key)) is None:
             avg = _average_product([reps[j] for j in nz], [z[j] for j in nz])
             if len(nz) < k:
                 memo[key] = avg
@@ -156,6 +185,8 @@ def averaged_block_per_pattern(reps, memo: dict) -> np.ndarray:
             parts[zi] = avg
         else:
             _pad_identity(parts[zi], dims, z, avg)
+    # cell (x, y) of the block is the part with exponents y - x, at index
+    # sum_j (y_j - x_j + 1) 3^(k-1-j) in patterns
     f = _bit_tuples(k) @ 3 ** np.arange(k - 1, -1, -1)
     cells = f[None, :] - f[:, None] + (3 ** k - 1) // 2
     return parts[cells].transpose(0, 2, 1, 3).reshape((2 ** k) * D, (2 ** k) * D)

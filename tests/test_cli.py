@@ -326,6 +326,9 @@ def test_input_error_precedence(capsys, argv, code, message):
 SPECTRUM_JSON_SHA256 = {
     ("S4", "3"): "f8507e465529714a1f8fbc54746b2bb66cebf682aceb91852a391f18fdb85667",
     ("S3", "4"): "f8cdbb7eaafe6f23ac8613794f8e8f7bccd994471521671a7fce52acfef2e7d4",
+    ("S2", "5"): "0089954ba6c3ab6c50b79ba37eb44badd89ff5eef9adab6ab026493cc1b165b5",
+    ("S1", "8"): "665084c8e99470fcfa81a46fb9685ff8e0d165f35b8322e8f327e52257fce6f8",
+    ("Z2xZ4", "3"): "86ebc26df4ae1b91689bc86d726638e96edfea604fc52229d4cb5b7565ce7807",
 }
 
 

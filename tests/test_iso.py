@@ -120,7 +120,7 @@ def test_rigid_corpus_members_are_rigid_and_distinct():
         rigid_corpus(2, 1)
     assert rigid_corpus(1, 1) == [graph(1, [])]
     for n in (7, 0):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="rigid corpus covers 1 <= n <= 6"):
             rigid_corpus(n, 1)
 
 

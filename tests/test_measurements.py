@@ -12,8 +12,10 @@ from hslab.irreps import irreps
 from hslab.measurements import (
     Povm,
     _check_density,
+    _distributions,
     _guard_outcomes,
     _random_rank_one,
+    _row_price,
     _stream,
     helstrom,
     indistinguishability_sweep,
@@ -689,3 +691,30 @@ def test_outcome_guard_prices_one_trial_from_above(monkeypatch, name):
             _guard_outcomes(G, [rep], m)
         monkeypatch.setattr(hslab.measurements, "POVM_BYTES_LIMIT", int(1.06 * peak))
         _guard_outcomes(G, [rep], m)
+
+
+@pytest.mark.parametrize("name", ["Z2", "S3", "S4", "Z16"])
+def test_outcome_guard_prices_one_sweep_trial_from_above(monkeypatch, name):
+    # the same bounds for a sweep trial, which builds one row of the
+    # per-shift table, on every irrep a trial can draw
+    G, m = parse_group(name), 20000
+
+    def trial(rep):
+        rng = _stream(0, 0)
+        shift = int(rng.integers(G.order))
+        dists = _distributions(rep, _random_rank_one(rng, 2 * rep.dim, m), slice(shift, shift + 1))
+        tv_distance(dists.per_shift[0], dists.mixed)
+
+    for rep in irreps(G):
+        trial(rep)  # the stack, and what a first call allocates once
+        tracemalloc.start()
+        try:
+            trial(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(hslab.measurements, "POVM_BYTES_LIMIT", peak - 1)
+        with pytest.raises(CapacityError, match=f"{m} outcomes on a {2 * rep.dim}-dimensional block"):
+            _guard_outcomes(G, [rep], m, _row_price)
+        monkeypatch.setattr(hslab.measurements, "POVM_BYTES_LIMIT", int(1.06 * peak))
+        _guard_outcomes(G, [rep], m, _row_price)

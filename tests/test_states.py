@@ -672,6 +672,27 @@ def test_state_block_batch_stays_within_the_average_budget(monkeypatch):
     assert blk.matrix.tobytes() == averaged_block_per_pattern(reps, {}).tobytes()
 
 
+def test_sub_tuple_over_the_average_budget_is_averaged_one_sign_at_a_time(monkeypatch):
+    # the batch of the sub-tuple (four, four_sign) of this k = 3 tuple, 4 |G|
+    # 16^2 entries, is over the lowered budget, as is the full batch, while
+    # one average of either fits: both are taken one sign tuple at a time,
+    # within the budget's bytes, and the block is the same
+    G = parse_group("S5")
+    four, four_sign = [r for r in irreps(G) if r.dim == 4]
+    sign = next(r for r in irreps(G) if r.dim == 1 and not r.is_trivial)
+    reps = (four, sign, four_sign)
+    limit = 2 * G.order * 16 ** 2
+    assert 4 * G.order * (four.dim * four_sign.dim) ** 2 > limit
+    monkeypatch.setattr("hslab.states.AVERAGE_STACK_LIMIT", limit)
+    state_block(reps)  # the stacks, and what a first call allocates once
+    tracemalloc.start()
+    blk = state_block(reps)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * limit, peak
+    assert blk.matrix.tobytes() == averaged_block_per_pattern(reps, {}).tobytes()
+
+
 def test_spectrum_rows_contents():
     rows = spectrum_rows(abelian_group(2), 1)
     by_label = {(r["tuple_label"], r["eigenvalue"]): r["multiplicity"] for r in rows}
@@ -789,7 +810,7 @@ def test_block_build_matches_power_block_assembly(name, k):
         assert spectrum_rows(G, k, shift) == expected
 
 
-# the batched sign averages against one _average_product per pattern
+# the sub-tuple build against one _average_product per pattern
 
 BATCH_ORDERED = [("S1", 8), ("S2", 5), ("S3", 4), ("S4", 3), ("S5", 2), ("Z8", 3), ("Z2xZ4", 3)]
 BATCH_ORDERED_CASES = [(name, k) for name, top in BATCH_ORDERED for k in range(1, top + 1)]
@@ -1195,14 +1216,16 @@ def test_schur_pair_averages_match_stack_means(name):
     reps = irreps(parse_group(name))
     by_label = {r.label: r for r in reps}
     memo = _schur_pair_averages(reps)
-    assert len(memo) == 4 * len(reps) ** 2
+    assert len(memo) == len(reps) ** 2
     ones = _one_factor_averages(reps)
-    assert len(ones) == 2 * len(reps)
-    for key, avg in {**memo, **ones}.items():
-        pair = [by_label[label] for label, _ in key]
-        want = _average_product(pair, [e for _, e in key])
-        assert avg.shape == want.shape
-        assert np.max(np.abs(avg - want)) < 1e-12, key
+    assert len(ones) == len(reps)
+    for labels, signed in {**memo, **ones}.items():
+        factors = [by_label[label] for label in labels]
+        for e in product((-1, 1), repeat=len(factors)):
+            want = _average_product(factors, e)
+            avg = signed[tuple((v + 1) // 2 for v in e)]
+            assert avg.shape == want.shape
+            assert np.max(np.abs(avg - want)) < 1e-12, (labels, e)
 
 
 def test_complex_stacks_fall_back_to_stack_averages():
